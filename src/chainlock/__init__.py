@@ -12,8 +12,8 @@ from __future__ import annotations
 from .errors import (CapacityError, ChainlockError, ConstructionFailedError,
                      DegenerateCertificateError, NumericalConsistencyError, ShapeError,
                      UnsupportedStateError)
-from .scenario import (BobInputMap, ChainScenario, SignEncoding, bob_inputs_for_term,
-                       build_bob_input_map, build_encoding, scenario_to_json_dict)
+from .scenario import (TermTable, bob_inputs_for_term, build_bob_input_map,
+                       build_encoding, scenario_to_json_dict)
 from .nlocal import (Behavior, BoundReport, DeterministicStrategy, alpha_bruteforce,
                      alpha_closed_form, behavior_from_strategy, beta_of_behavior,
                      bound_report, lhv_exhaustive_max)
@@ -21,8 +21,7 @@ from .qcore import (ChainLayout, NetworkState, Observable, QuantumModel,
                     anticommutator_report, bell_chain_state, beta_quantum,
                     correlator_contracted, correlator_dense, jordan_wigner_set,
                     make_model, model_from_json_dict, model_to_json_dict)
-from .constructions import (OptimalModelRecipe, fit_bob_observables, optimal_model,
-                            solve_bob_condition)
+from .constructions import fit_bob_observables, optimal_model, solve_bob_condition
 from .seesaw import SeesawConfig, SeesawReport, random_model, seesaw_optimize
 from .soscert import CertificateReport, certify, omega_values, tsirelson_ceiling
 
@@ -30,8 +29,8 @@ __all__ = [
     "CapacityError", "ChainlockError", "ConstructionFailedError",
     "DegenerateCertificateError", "NumericalConsistencyError", "ShapeError",
     "UnsupportedStateError",
-    "BobInputMap", "ChainScenario", "SignEncoding", "bob_inputs_for_term",
-    "build_bob_input_map", "build_encoding", "scenario_to_json_dict",
+    "TermTable", "bob_inputs_for_term", "build_bob_input_map", "build_encoding",
+    "scenario_to_json_dict",
     "Behavior", "BoundReport", "DeterministicStrategy", "alpha_bruteforce",
     "alpha_closed_form", "behavior_from_strategy", "beta_of_behavior",
     "bound_report", "lhv_exhaustive_max",
@@ -39,8 +38,7 @@ __all__ = [
     "anticommutator_report", "bell_chain_state", "beta_quantum",
     "correlator_contracted", "correlator_dense", "jordan_wigner_set",
     "make_model", "model_from_json_dict", "model_to_json_dict",
-    "OptimalModelRecipe", "fit_bob_observables", "optimal_model",
-    "solve_bob_condition",
+    "fit_bob_observables", "optimal_model", "solve_bob_condition",
     "SeesawConfig", "SeesawReport", "random_model", "seesaw_optimize",
     "CertificateReport", "certify", "omega_values", "tsirelson_ceiling",
 ]

@@ -14,7 +14,7 @@ import sys
 from .constructions import optimal_model
 from .errors import ChainlockError, ConstructionFailedError
 from .nlocal import bound_report, lhv_exhaustive_max
-from .qcore import beta_quantum, model_from_json_dict, model_to_json_dict
+from .qcore import QuantumModel, beta_quantum, model_from_json_dict, model_to_json_dict
 from .scenario import scenario_to_json_dict
 from .seesaw import SeesawConfig, seesaw_optimize
 from .soscert import certify, condition_residuals, tsirelson_ceiling
@@ -47,11 +47,11 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("CHAINLOCK_THREADS")
-    return int(env) if env else 1
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}")
+    return value
 
 
 def _maybe_dump_scenario(args) -> bool:
@@ -65,7 +65,15 @@ def _cmd_bound(args) -> int:
     if _maybe_dump_scenario(args):
         return 0
     if args.exhaustive:
-        report = lhv_exhaustive_max(args.n, threads=_threads(args))
+        threads = args.threads
+        if threads is None:
+            env = os.environ.get("CHAINLOCK_THREADS") or "1"
+            try:
+                threads = _positive_int(env)
+            except (ValueError, argparse.ArgumentTypeError):
+                return _fail(f"CHAINLOCK_THREADS must be an integer >= 1, got {env!r}",
+                             USAGE_ERROR)
+        report = lhv_exhaustive_max(args.n, threads=threads)
     else:
         report = bound_report(args.n)
     _emit(report.to_json_dict(), args.out)
@@ -86,7 +94,7 @@ def _cmd_quantum(args) -> int:
             "residuals": list(err.residuals or []),
             "error": str(err),
         }
-        if err.model is not None and hasattr(err.model, "scenario"):
+        if isinstance(err.model, QuantumModel):
             _, payload["terms"] = beta_quantum(err.model, evaluator=args.evaluator)
         _emit(payload, args.out)
         return COMPUTE_ERROR
@@ -186,19 +194,18 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--dump-scenario", action="store_true",
                            help="print the scenario encoding as JSON and exit")
         p.add_argument("--out", help="write output to this path instead of stdout")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker count for exhaustive searches "
-                            "(CHAINLOCK_THREADS as fallback)")
 
     p_bound = sub.add_parser("bound", help="classical n-local bound")
     add_common(p_bound)
     p_bound.add_argument("--exhaustive", action="store_true",
                          help="full deterministic-strategy search (n <= 4)")
+    p_bound.add_argument("--threads", type=_positive_int, default=None,
+                         help="worker count for --exhaustive, at most the CPU count "
+                              "(CHAINLOCK_THREADS as fallback)")
     p_bound.set_defaults(func=_cmd_bound)
 
     p_quantum = sub.add_parser("quantum", help="explicit quantum model for the ceiling")
     add_common(p_quantum)
-    p_quantum.add_argument("--construction", choices=["jw"], default="jw")
     p_quantum.add_argument("--evaluator", choices=["dense", "contracted", "auto"],
                            default="auto")
     p_quantum.add_argument("--pairs-per-source", type=int, default=None)

@@ -12,34 +12,19 @@ and residuals, instead of pretending the target was reached.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CapacityError, ConstructionFailedError
 from .qcore import (PAULI_X, PAULI_Y, PAULI_Z, NetworkState, Observable, QuantumModel,
-                    bell_chain_state, beta_quantum, bob_slot_matrix, chain_expectation,
-                    default_layout, dichotomic_projection, jordan_wigner_set, kron_all,
-                    make_model, random_dichotomic)
-from .scenario import BobInputMap, SignEncoding, build_bob_input_map, build_encoding
+                    bell_chain_state, beta_quantum, central_slot_matrix, default_layout,
+                    dichotomic_projection, jordan_wigner_set, kron_all, make_model,
+                    random_dichotomic, signed_sums, term_expectations)
+from .scenario import build_encoding
 from .soscert import condition_residuals, omega_values, tsirelson_ceiling
 
 SOLVE_RESIDUAL_TOL = 1e-8
 SUPPORTED_N = (2, 3, 4, 5)
-
-
-@dataclass(frozen=True)
-class OptimalModelRecipe:
-    n: int
-    edge_set_kind: str = "jordan_wigner"
-    bob_rule: str = field(default="")
-    expected_beta: float = field(default=0.0)
-
-    def __post_init__(self):
-        if not self.bob_rule:
-            rule = {2: "explicit_n2", 3: "explicit_n3"}.get(self.n, "solve_condition")
-            object.__setattr__(self, "bob_rule", rule)
-        object.__setattr__(self, "expected_beta", tsirelson_ceiling(self.n))
 
 
 def _explicit_n2() -> QuantumModel:
@@ -62,9 +47,9 @@ def _explicit_n3() -> QuantumModel:
     This realizes J_i = 2 for every term (beta = 4 sqrt(2)); the equal-term
     target J_i = 3 is not reachable by any model (see module docstring).
     """
-    enc = build_encoding(3)
+    signs = build_encoding(3).signs
     flip_y = np.diag([1.0, -1.0, 1.0])  # transpose of a Pauli vector across a Bell link
-    targets = [flip_y @ enc.signs[i] for i in range(4)]
+    targets = [flip_y @ signs[i] for i in range(4)]
     bob1, bob2 = [], []
     for y in (1, 2):
         left = sum(targets[i] for i in range(4) if (i >> 1) + 1 == y)
@@ -76,53 +61,39 @@ def _explicit_n3() -> QuantumModel:
 
 
 def fit_bob_observables(state: NetworkState, edge_observables,
-                        enc: SignEncoding | None = None,
-                        bob_map: BobInputMap | None = None,
                         sweeps: int = 400, extra_starts: int = 8):
     """Least-squares fit of per-party central observables to the zero conditions.
 
     Maximizes sum_i <psi| T_i B_i |psi> with T_i = (Y^A_i (x) Y^C_i)/omega_i
-    by coordinate ascent with dichotomic projection; the per-term residuals
-    are r_i = sqrt(2 - 2 overlap_i).  Returns (bobs, overlaps) for the best
-    deterministic start.
+    by coordinate ascent over the central slots with dichotomic projection,
+    using the seesaw's open-slot helpers with unit weights on the pre-scaled
+    terms; the per-term residuals are r_i = sqrt(2 - 2 overlap_i).  Returns
+    (bobs, overlaps) for the best deterministic start.
     """
     layout = state.layout
     n, d = layout.n, layout.link_dim
-    enc = enc or build_encoding(n)
-    bob_map = bob_map or build_bob_input_map(n)
+    table = build_encoding(n)
     edges = [o.matrix if isinstance(o, Observable) else np.asarray(o, complex)
              for o in edge_observables]
     if len(edges) != n or edges[0].shape != (d, d):
         raise ValueError(f"need {n} edge observables of dimension {d}")
-    half = 2 ** (n - 1)
-    ys = [sum(enc.signs[i][x] * edges[x] for x in range(n)) for i in range(half)]
+    ys = signed_sums(table.signs, edges)
     # omega per term from the actual edge set (equals n for anticommuting sets)
     model_tmp = make_model(n, edges, [[np.eye(d * d)] * 2] * (n - 1), edges,
                            qubits_per_half=layout.qubits_per_half)
-    om_a, om_c = omega_values(model_tmp, enc)
-    omegas = [a * c for a, c in zip(om_a, om_c)]
-    combos = [tuple(y - 1 for y in bob_map.rows[i]) for i in range(half)]
+    om_a, om_c = omega_values(model_tmp)
+    lefts = [y / (a * c) for y, a, c in zip(ys, om_a, om_c)]
+    weights = np.ones(table.terms)
 
     def overlaps(bobs):
-        out = np.empty(half)
-        for i in range(half):
-            mats = [bobs[t][combos[i][t]] for t in range(n - 1)]
-            out[i] = chain_expectation(ys[i] / omegas[i], mats, ys[i], d).real
-        return out
+        return np.array([v.real for v in term_expectations(lefts, ys, bobs, table.central, d)])
 
     def sweep_to_convergence(bobs):
         prev = overlaps(bobs).sum()
         for _ in range(sweeps):
             for t in range(n - 1):
                 for yv in range(2):
-                    w = np.zeros((d * d, d * d), dtype=complex)
-                    for i in range(half):
-                        if combos[i][t] != yv:
-                            continue
-                        before = [bobs[u][combos[i][u]] for u in range(t)]
-                        after = [bobs[u][combos[i][u]] for u in range(t + 1, n - 1)]
-                        w += bob_slot_matrix(ys[i] / omegas[i], before, after,
-                                             ys[i], d, n)
+                    w = central_slot_matrix(lefts, ys, bobs, table.central, weights, t, yv, d)
                     bobs[t][yv] = dichotomic_projection(w)
             cur = overlaps(bobs).sum()
             if abs(cur - prev) < 1e-13:
@@ -144,15 +115,13 @@ def fit_bob_observables(state: NetworkState, edge_observables,
 
 
 def solve_bob_condition(state: NetworkState, edge_observables,
-                        enc: SignEncoding | None = None,
-                        bob_map: BobInputMap | None = None,
                         tol: float = SOLVE_RESIDUAL_TOL):
     """Central observables satisfying every zero condition within ``tol``.
 
     Raises ConstructionFailedError with the best-fit observables and their
     residuals when the conditions cannot be met (any n >= 3).
     """
-    bobs, overlaps = fit_bob_observables(state, edge_observables, enc, bob_map)
+    bobs, overlaps = fit_bob_observables(state, edge_observables)
     residuals = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * overlaps))
     if float(np.max(residuals)) >= tol:
         raise ConstructionFailedError(

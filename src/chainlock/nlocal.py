@@ -9,14 +9,16 @@ Three independent routes to the same number:
 """
 from __future__ import annotations
 
+import functools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError, ShapeError
-from .scenario import ChainScenario, SignEncoding, BobInputMap, build_bob_input_map, build_encoding
+from .scenario import build_encoding
 
 BRUTEFORCE_MAX_N = 24
 EXHAUSTIVE_MAX_N = 4
@@ -52,7 +54,7 @@ class Behavior:
     """Joint conditional probability table P(a, b_vec, c | x, y_vec, z).
 
     ``table[a, b, c, x, k, z]`` with b the central outcome bits packed big-endian
-    and k the 0-based central input-combination index (row k+1 of BobInputMap).
+    and k the 0-based term index (term k+1 of the term table fixes the central inputs).
     """
 
     n: int
@@ -161,21 +163,13 @@ def bound_report(n: int) -> BoundReport:
                        witness=witness, match=closed == brute)
 
 
+@functools.lru_cache(maxsize=None)
 def _input_grids(n: int):
-    half = 2 ** (n - 1)
-    if n not in _input_grids.cache:
-        _input_grids.cache[n] = np.meshgrid(
-            np.arange(n), np.arange(half), np.arange(n), indexing="ij")
-    return _input_grids.cache[n]
+    return np.meshgrid(np.arange(n), np.arange(2 ** (n - 1)), np.arange(n), indexing="ij")
 
 
-_input_grids.cache = {}
-
-
-def behavior_from_strategy(strategy: DeterministicStrategy,
-                           scenario: ChainScenario) -> Behavior:
+def behavior_from_strategy(strategy: DeterministicStrategy, n: int) -> Behavior:
     """Deterministic behavior: probability 1 on the outputs the strategy dictates."""
-    n = scenario.n
     if (len(strategy.alice) != n or len(strategy.charlie) != n
             or len(strategy.bobs) != n - 1):
         raise ShapeError(f"strategy dimensions do not match n={n}")
@@ -183,21 +177,20 @@ def behavior_from_strategy(strategy: DeterministicStrategy,
     table = np.zeros((2, half, 2, n, half, n))
     a_bits = np.array([(1 - s) // 2 for s in strategy.alice])
     c_bits = np.array([(1 - s) // 2 for s in strategy.charlie])
-    bmap = build_bob_input_map(n)
+    central = build_encoding(n).central
     b_packed = np.empty(half, dtype=np.int64)
     for k in range(half):
-        bits = [(1 - strategy.bobs[m][y - 1]) // 2 for m, y in enumerate(bmap.rows[k])]
+        bits = [(1 - strategy.bobs[m][y]) // 2 for m, y in enumerate(central[k])]
         b_packed[k] = int("".join(str(b) for b in bits), 2) if bits else 0
     xx, kk, zz = _input_grids(n)
     table[a_bits[xx], b_packed[kk], c_bits[zz], xx, kk, zz] = 1.0
     return Behavior(n=n, table=table)
 
 
-def beta_of_behavior(behavior: Behavior, enc: SignEncoding | None = None,
-                     bob_map: BobInputMap | None = None) -> float:
+def beta_of_behavior(behavior: Behavior) -> float:
     """beta = sum_i sqrt(|J_i|) evaluated on an explicit behavior."""
     n = behavior.n
-    enc = enc or build_encoding(n)
+    signs = build_encoding(n).signs
     half = 2 ** (n - 1)
     parity_b = np.array([(-1.0) ** bin(b).count("1") for b in range(half)])
     sign_a = np.array([1.0, -1.0])
@@ -205,7 +198,7 @@ def beta_of_behavior(behavior: Behavior, enc: SignEncoding | None = None,
     corr = np.einsum("a,b,c,abcxkz->xkz", sign_a, parity_b, sign_a, behavior.table)
     beta = 0.0
     for i in range(half):
-        s = enc.signs[i].astype(float)
+        s = signs[i].astype(float)
         beta += math.sqrt(abs(s @ corr[:, i, :] @ s))
     return beta
 
@@ -224,12 +217,10 @@ def _strategy_from_index(n: int, idx: int) -> DeterministicStrategy:
 def _search_range(args: tuple[int, int, int]) -> tuple[float, int]:
     """Best (beta, first index) over a contiguous range of strategy indices."""
     n, start, stop = args
-    scenario = ChainScenario(n)
-    enc = build_encoding(n)
     best, best_idx = -1.0, -1
     for idx in range(start, stop):
         s = _strategy_from_index(n, idx)
-        beta = beta_of_behavior(behavior_from_strategy(s, scenario), enc)
+        beta = beta_of_behavior(behavior_from_strategy(s, n))
         if beta > best + 1e-12:
             best, best_idx = beta, idx
     return best, best_idx
@@ -239,13 +230,15 @@ def lhv_exhaustive_max(n: int, threads: int = 1) -> BoundReport:
     """Maximize beta over every deterministic strategy, via explicit behaviors.
 
     The search space is 2^(2n) * 4^(n-1) strategies; supported for n in 2..4.
-    The result is independent of the worker count: chunks are reduced in
-    order and ties keep the lexicographically first witness.
+    The worker count is capped at the CPU count.  The result is independent
+    of it: chunks are reduced in order and ties keep the lexicographically
+    first witness.
     """
     if not 2 <= n <= EXHAUSTIVE_MAX_N:
         raise CapacityError(
             f"lhv_exhaustive_max supports 2 <= n <= {EXHAUSTIVE_MAX_N}, got {n}")
     total = 2 ** (2 * n + 2 * (n - 1))
+    threads = min(threads, os.cpu_count() or 1)
     if threads <= 1:
         best, best_idx = _search_range((n, 0, total))
     else:

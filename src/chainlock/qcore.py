@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import (CapacityError, NumericalConsistencyError, ShapeError,
                      UnsupportedStateError)
-from .scenario import ChainScenario, SignEncoding, BobInputMap, build_bob_input_map, build_encoding
+from .scenario import build_encoding
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -137,7 +137,6 @@ def bell_chain_state(n: int, qubits_per_half: int | None = None) -> NetworkState
 
 @dataclass(frozen=True)
 class QuantumModel:
-    scenario: ChainScenario
     layout: ChainLayout
     state: NetworkState
     alice: tuple[Observable, ...]
@@ -145,9 +144,7 @@ class QuantumModel:
     charlie: tuple[Observable, ...]
 
     def __post_init__(self):
-        n, d = self.scenario.n, self.layout.link_dim
-        if self.layout.n != n:
-            raise ShapeError("layout and scenario disagree on n")
+        n, d = self.layout.n, self.layout.link_dim
         if len(self.alice) != n or len(self.charlie) != n:
             raise ShapeError(f"edge parties need {n} observables each")
         if len(self.bobs) != n - 1:
@@ -164,7 +161,7 @@ class QuantumModel:
 
     @property
     def n(self) -> int:
-        return self.scenario.n
+        return self.layout.n
 
 
 def make_model(n: int, alice, bobs, charlie,
@@ -172,7 +169,6 @@ def make_model(n: int, alice, bobs, charlie,
     """Wrap raw matrices into a QuantumModel on the Bell chain."""
     layout = default_layout(n, qubits_per_half)
     return QuantumModel(
-        scenario=ChainScenario(n),
         layout=layout,
         state=bell_chain_state(n, layout.qubits_per_half),
         alice=tuple(Observable(a) for a in alice),
@@ -308,17 +304,6 @@ def correlator_contracted(model: QuantumModel, x: int, bob_inputs, z: int) -> fl
     return _real_or_raise(val, "correlator")
 
 
-def edge_combinations(model: QuantumModel, enc: SignEncoding):
-    """Signed edge sums Y^A_i and Y^C_i for every term, as raw matrices."""
-    n = model.n
-    ya, yc = [], []
-    for i in range(2 ** (n - 1)):
-        s = enc.signs[i]
-        ya.append(sum(s[x] * model.alice[x].matrix for x in range(n)))
-        yc.append(sum(s[z] * model.charlie[z].matrix for z in range(n)))
-    return ya, yc
-
-
 def _resolve_evaluator(model: QuantumModel, evaluator: str) -> str:
     if evaluator == "auto":
         if (model.state.bell_links
@@ -330,47 +315,76 @@ def _resolve_evaluator(model: QuantumModel, evaluator: str) -> str:
     return evaluator
 
 
-def term_values(model: QuantumModel, enc: SignEncoding | None = None,
-                bob_map: BobInputMap | None = None,
-                evaluator: str = "auto") -> np.ndarray:
-    """J_i = sum_{x,z} signs[i,x] signs[i,z] E(x, map[i], z) for every term."""
+def term_values(model: QuantumModel, evaluator: str = "auto") -> np.ndarray:
+    """J_i = sum_{x,z} signs[i,x] signs[i,z] E(x, central inputs of i, z) for every term."""
     n = model.n
-    enc = enc or build_encoding(n)
-    bob_map = bob_map or build_bob_input_map(n)
-    which = _resolve_evaluator(model, evaluator)
-    half = 2 ** (n - 1)
-    js = np.empty(half)
-    if which == "dense":
-        for i in range(half):
-            combo = bob_map.rows[i]
-            s = enc.signs[i]
-            total = 0.0
-            for x in range(1, n + 1):
-                for z in range(1, n + 1):
-                    total += s[x - 1] * s[z - 1] * correlator_dense(model, x, combo, z)
-            js[i] = total
-    else:
+    table = build_encoding(n)
+    if _resolve_evaluator(model, evaluator) == "contracted":
         _require_bell_links(model)
-        d = model.layout.link_dim
-        ya, yc = edge_combinations(model, enc)
-        for i in range(half):
-            combo = bob_map.rows[i]
-            bob_mats = [model.bobs[t][combo[t] - 1].matrix for t in range(n - 1)]
-            js[i] = _real_or_raise(chain_expectation(ya[i], bob_mats, yc[i], d),
-                                   f"term {i + 1}")
+        ya = signed_sums(table.signs, [o.matrix for o in model.alice])
+        yc = signed_sums(table.signs, [o.matrix for o in model.charlie])
+        bobs = [[o.matrix for o in pair] for pair in model.bobs]
+        values = term_expectations(ya, yc, bobs, table.central, model.layout.link_dim)
+        return np.array([_real_or_raise(v, f"term {i + 1}") for i, v in enumerate(values)])
+    js = np.empty(table.terms)
+    for i in range(table.terms):
+        combo = table.bob_inputs(i + 1)
+        s = table.signs[i]
+        total = 0.0
+        for x in range(1, n + 1):
+            for z in range(1, n + 1):
+                total += s[x - 1] * s[z - 1] * correlator_dense(model, x, combo, z)
+        js[i] = total
     return js
 
 
-def beta_quantum(model: QuantumModel, enc: SignEncoding | None = None,
-                 bob_map: BobInputMap | None = None,
+def beta_quantum(model: QuantumModel,
                  evaluator: str = "auto") -> tuple[float, list[float]]:
     """beta = sum_i sqrt(|J_i|), with the per-term values."""
-    js = term_values(model, enc, bob_map, evaluator)
+    js = term_values(model, evaluator)
     return float(np.sum(np.sqrt(np.abs(js)))), [float(j) for j in js]
 
 
 # ---------------------------------------------------------------------------
 # open-slot functionals (used by the seesaw and the condition solver)
+#
+# Both optimizers walk the terms with three shared pieces: the signed edge
+# sums, the per-term chain values, and the weighted central-slot matrix.
+# ``bobs[t][y]`` is the matrix of central party t+1 for 0-based input y, and
+# ``central`` is the term table's per-term tuple of those 0-based inputs.
+
+def signed_sums(signs: np.ndarray, mats) -> list[np.ndarray]:
+    """Y_i = sum_x signs[i, x] M_x for every term: the signed edge combinations."""
+    return [sum(s[x] * mats[x] for x in range(len(mats))) for s in signs]
+
+
+def term_expectations(lefts, rights, bobs, central, d: int) -> list[complex]:
+    """<L_i (x) B_i (x) R_i> for every term i, by chain contraction.
+
+    B_i is the product of the central operators term i reads; with
+    L_i = Y^A_i and R_i = Y^C_i the values are the J_i.
+    """
+    return [chain_expectation(a, [bobs[t][y] for t, y in enumerate(row)], c, d)
+            for a, c, row in zip(lefts, rights, central)]
+
+
+def central_slot_matrix(lefts, rights, bobs, central, weights, t: int, y: int,
+                        d: int) -> np.ndarray:
+    """W = sum_i weights[i] G_i over the terms i whose central party t+1 reads input y.
+
+    G_i is term i's open-slot matrix with that slot left open, so an operator
+    B placed in the slot gives tr(B W) = sum_i weights[i] <L_i (x) B_i (x) R_i>.
+    """
+    n = len(bobs) + 1
+    w = np.zeros((d * d, d * d), dtype=complex)
+    for i, row in enumerate(central):
+        if row[t] != y:
+            continue
+        before = [bobs[u][row[u]] for u in range(t)]
+        after = [bobs[u][row[u]] for u in range(t + 1, n - 1)]
+        w += weights[i] * bob_slot_matrix(lefts[i], before, after, rights[i], d, n)
+    return w
+
 
 def bob_slot_matrix(a_mat, bob_mats_before, bob_mats_after, c_mat, d: int,
                     n: int) -> np.ndarray:

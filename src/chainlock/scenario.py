@@ -3,114 +3,92 @@
 A chain with n independent sources has n+1 parties: two edge parties (Alice
 and Charlie, n inputs each) and n-1 central parties (one Bob per interior
 position, 2 inputs each).  The 2^(n-1) correlator terms are indexed by the
-length-n bit strings that start with 0; term i carries the sign vector
-((-1)^bit_1, ..., (-1)^bit_n) on the edge observables and selects one input
-per central party through the trailing n-1 bits.
+length-n bit strings b that start with 0; term i carries the sign vector
+((-1)^b_1, ..., (-1)^b_n) on the edge observables, and its trailing n-1 bits
+select the input of each central party (bit 0 -> input 1, bit 1 -> input 2).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
 
 @dataclass(frozen=True)
-class ChainScenario:
-    """Party/input/output counts for an n-source linear chain."""
+class TermTable:
+    """The correlator terms of an n-source chain, one bit string b per term.
 
-    n: int
-    edge_inputs: int = field(init=False)
-    central_parties: int = field(init=False)
-    central_inputs: int = 2
-    outcomes: int = 2
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"chain scenario needs at least 2 sources, got n={self.n}")
-        object.__setattr__(self, "edge_inputs", self.n)
-        object.__setattr__(self, "central_parties", self.n - 1)
-
-    @property
-    def terms(self) -> int:
-        return 2 ** (self.n - 1)
-
-
-@dataclass(frozen=True)
-class SignEncoding:
-    """Sign matrix of the correlator family.
-
-    Row i (0-based internally, 1-based in reports) is ((-1)^{b_1},...,(-1)^{b_n})
-    for the i-th length-n bit string b with first bit 0, in ascending binary
-    order.  Every row therefore starts with +1.
+    Row i of ``signs`` (0-based internally, 1-based in reports) is (-1)^b for
+    the i-th length-n bit string with first bit 0, in ascending binary order,
+    so every row starts with +1.  ``central[i]`` holds the trailing bits of
+    that b: the 0-based input of each central party in term i.
     """
 
     n: int
     signs: np.ndarray
     bitstrings: tuple[str, ...]
+    central: tuple[tuple[int, ...], ...]
+
+    central_inputs = 2
+    outcomes = 2
+
+    @property
+    def terms(self) -> int:
+        return len(self.bitstrings)
+
+    @property
+    def edge_inputs(self) -> int:
+        return self.n
+
+    @property
+    def central_parties(self) -> int:
+        return self.n - 1
+
+    def _check(self, i: int):
+        if not 1 <= i <= self.terms:
+            raise IndexError(f"term index {i} out of range 1..{self.terms}")
 
     def row(self, i: int) -> np.ndarray:
         """Sign vector for 1-based term index i."""
-        if not 1 <= i <= len(self.bitstrings):
-            raise IndexError(f"term index {i} out of range 1..{len(self.bitstrings)}")
+        self._check(i)
         return self.signs[i - 1]
 
-
-@dataclass(frozen=True)
-class BobInputMap:
-    """Central-party input combination per term.
-
-    Row k is the length-(n-1) binary expansion of k-1 (most significant bit
-    first) with bit 0 mapped to input 1 and bit 1 to input 2, so row 1 is
-    (1,...,1) and row 2^(n-1) is (2,...,2).
-    """
-
-    n: int
-    rows: tuple[tuple[int, ...], ...]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        if not 1 <= i <= len(self.rows):
-            raise IndexError(f"term index {i} out of range 1..{len(self.rows)}")
-        return self.rows[i - 1]
+    def bob_inputs(self, i: int) -> tuple[int, ...]:
+        """1-based central-party inputs of 1-based term index i."""
+        self._check(i)
+        return tuple(y + 1 for y in self.central[i - 1])
 
 
-def build_encoding(n: int) -> SignEncoding:
-    """Sign encoding for an n-source chain, rows in ascending binary order."""
+@functools.lru_cache(maxsize=None)
+def build_encoding(n: int) -> TermTable:
+    """The term table of an n-source chain, built once per n."""
     if n < 2:
         raise ValueError(f"chain scenario needs at least 2 sources, got n={n}")
     count = 2 ** (n - 1)
-    bitstrings = []
-    signs = np.empty((count, n), dtype=np.int64)
-    for i in range(count):
-        bits = [0] + [(i >> (n - 2 - j)) & 1 for j in range(n - 1)]
-        bitstrings.append("".join(str(b) for b in bits))
-        signs[i] = [1 - 2 * b for b in bits]
+    bits = [[0] + [(i >> (n - 2 - j)) & 1 for j in range(n - 1)] for i in range(count)]
+    signs = np.array([[1 - 2 * b for b in row] for row in bits], dtype=np.int64)
     signs.setflags(write=False)
-    return SignEncoding(n=n, signs=signs, bitstrings=tuple(bitstrings))
+    return TermTable(n=n, signs=signs,
+                     bitstrings=tuple("".join(map(str, row)) for row in bits),
+                     central=tuple(tuple(row[1:]) for row in bits))
 
 
-def build_bob_input_map(n: int) -> BobInputMap:
-    """Input combination table for the n-1 central parties."""
-    if n < 2:
-        raise ValueError(f"chain scenario needs at least 2 sources, got n={n}")
-    rows = []
-    for k in range(2 ** (n - 1)):
-        rows.append(tuple(((k >> (n - 2 - m)) & 1) + 1 for m in range(n - 1)))
-    return BobInputMap(n=n, rows=tuple(rows))
+def build_bob_input_map(n: int) -> tuple[tuple[int, ...], ...]:
+    """1-based central-party inputs of every term, in term order."""
+    table = build_encoding(n)
+    return tuple(table.bob_inputs(i) for i in range(1, table.terms + 1))
 
 
 def bob_inputs_for_term(n: int, i: int) -> tuple[int, ...]:
     """Central-party inputs used by term i (1-based)."""
-    if not 1 <= i <= 2 ** (n - 1):
-        raise IndexError(f"term index {i} out of range 1..{2 ** (n - 1)}")
-    return build_bob_input_map(n).row(i)
+    return build_encoding(n).bob_inputs(i)
 
 
 def scenario_to_json_dict(n: int) -> dict:
     """JSON-ready description of the scenario (signs and bob inputs)."""
-    enc = build_encoding(n)
-    bmap = build_bob_input_map(n)
     return {
         "n": n,
-        "signs": enc.signs.tolist(),
-        "bob_inputs": [list(r) for r in bmap.rows],
+        "signs": build_encoding(n).signs.tolist(),
+        "bob_inputs": [list(r) for r in build_bob_input_map(n)],
     }

@@ -11,10 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import (QuantumModel, bob_slot_matrix, chain_expectation, default_layout,
+from .qcore import (QuantumModel, central_slot_matrix, default_layout,
                     dichotomic_projection, edge_slot_matrix, make_model,
-                    random_dichotomic)
-from .scenario import build_bob_input_map, build_encoding
+                    random_dichotomic, signed_sums, term_expectations)
+from .scenario import build_encoding
 
 WEIGHT_FLOOR = 1e-12
 
@@ -83,21 +83,13 @@ class _Workspace:
                           qubits_per_half=self.m)
 
 
-def _term_data(ws: _Workspace, enc, bob_map):
-    half = 2 ** (ws.n - 1)
-    ya = [sum(enc.signs[i][x] * ws.alice[x] for x in range(ws.n)) for i in range(half)]
-    yc = [sum(enc.signs[i][z] * ws.charlie[z] for z in range(ws.n)) for i in range(half)]
-    combos = [tuple(y - 1 for y in bob_map.rows[i]) for i in range(half)]
-    return ya, yc, combos
+def _edge_sums(ws: _Workspace, table):
+    return signed_sums(table.signs, ws.alice), signed_sums(table.signs, ws.charlie)
 
 
-def _beta_of(ws: _Workspace, enc, bob_map):
-    ya, yc, combos = _term_data(ws, enc, bob_map)
-    half = 2 ** (ws.n - 1)
-    js = np.empty(half)
-    for i in range(half):
-        mats = [ws.bobs[t][combos[i][t]] for t in range(ws.n - 1)]
-        js[i] = chain_expectation(ya[i], mats, yc[i], ws.d).real
+def _beta_of(ws: _Workspace, table):
+    ya, yc = _edge_sums(ws, table)
+    js = np.array([v.real for v in term_expectations(ya, yc, ws.bobs, table.central, ws.d)])
     return float(np.sum(np.sqrt(np.abs(js)))), js
 
 
@@ -106,65 +98,45 @@ def _weights(js: np.ndarray) -> np.ndarray:
     return sigma / (2.0 * np.sqrt(np.maximum(np.abs(js), WEIGHT_FLOOR)))
 
 
-def _sweep(ws: _Workspace, enc, bob_map, beta: float, js: np.ndarray,
+def _sweep(ws: _Workspace, table, beta: float, js: np.ndarray,
            optimize_edges: bool) -> tuple[float, np.ndarray]:
     n, d = ws.n, ws.d
-    half = 2 ** (n - 1)
 
-    def try_update(apply, revert):
+    def try_update(slots: list, k: int, w: np.ndarray):
+        """Project w into slots[k]; keep it unless beta drops."""
         nonlocal beta, js
-        apply()
-        cand, cand_js = _beta_of(ws, enc, bob_map)
+        old = slots[k]
+        slots[k] = dichotomic_projection(w)
+        cand, cand_js = _beta_of(ws, table)
         if cand < beta - 1e-12:
-            revert()
+            slots[k] = old
         else:
             beta, js = cand, cand_js
 
+    ya, yc = _edge_sums(ws, table)  # the edge sums stay fixed while central slots move
     for t in range(n - 1):
         for yv in range(2):
-            ya, yc, combos = _term_data(ws, enc, bob_map)
-            c = _weights(js)
-            w = np.zeros((d * d, d * d), dtype=complex)
-            for i in range(half):
-                if combos[i][t] != yv:
-                    continue
-                before = [ws.bobs[u][combos[i][u]] for u in range(t)]
-                after = [ws.bobs[u][combos[i][u]] for u in range(t + 1, n - 1)]
-                w += c[i] * bob_slot_matrix(ya[i], before, after, yc[i], d, n)
-            old = ws.bobs[t][yv]
-            try_update(lambda: ws.bobs[t].__setitem__(yv, dichotomic_projection(w)),
-                       lambda: ws.bobs[t].__setitem__(yv, old))
+            try_update(ws.bobs[t], yv, central_slot_matrix(
+                ya, yc, ws.bobs, table.central, _weights(js), t, yv, d))
     if optimize_edges:
-        for x in range(n):
-            ya, yc, combos = _term_data(ws, enc, bob_map)
-            c = _weights(js)
-            w = np.zeros((d, d), dtype=complex)
-            for i in range(half):
-                mats = [ws.bobs[t][combos[i][t]] for t in range(n - 1)]
-                w += (c[i] * enc.signs[i][x]
-                      * edge_slot_matrix("alice", mats, yc[i], d, n))
-            old = ws.alice[x]
-            try_update(lambda: ws.alice.__setitem__(x, dichotomic_projection(w)),
-                       lambda: ws.alice.__setitem__(x, old))
-        for z in range(n):
-            ya, yc, combos = _term_data(ws, enc, bob_map)
-            c = _weights(js)
-            w = np.zeros((d, d), dtype=complex)
-            for i in range(half):
-                mats = [ws.bobs[t][combos[i][t]] for t in range(n - 1)]
-                w += (c[i] * enc.signs[i][z]
-                      * edge_slot_matrix("charlie", mats, ya[i], d, n))
-            old = ws.charlie[z]
-            try_update(lambda: ws.charlie.__setitem__(z, dichotomic_projection(w)),
-                       lambda: ws.charlie.__setitem__(z, old))
+        for side, edges, other in (("alice", ws.alice, ws.charlie),
+                                   ("charlie", ws.charlie, ws.alice)):
+            other_sums = signed_sums(table.signs, other)  # fixed while this side moves
+            for x in range(n):
+                c = _weights(js)
+                w = np.zeros((d, d), dtype=complex)
+                for i, row in enumerate(table.central):
+                    mats = [ws.bobs[t][y] for t, y in enumerate(row)]
+                    w += (c[i] * table.signs[i][x]
+                          * edge_slot_matrix(side, mats, other_sums[i], d, n))
+                try_update(edges, x, w)
     return beta, js
 
 
 def seesaw_optimize(n: int, config: SeesawConfig | None = None) -> SeesawReport:
     """Best beta over seeded restarts of coordinate ascent on the Bell chain."""
     config = config or SeesawConfig()
-    enc = build_encoding(n)
-    bob_map = build_bob_input_map(n)
+    table = build_encoding(n)
     trace: list[tuple[int, int, float]] = []
     restart_betas: list[float] = []
     best_beta, best_model = -1.0, None
@@ -173,11 +145,11 @@ def seesaw_optimize(n: int, config: SeesawConfig | None = None) -> SeesawReport:
         model = random_model(n, seed=config.seed + 7919 * r,
                              qubits_per_half=config.qubits_per_half)
         ws = _Workspace(model)
-        beta, js = _beta_of(ws, enc, bob_map)
+        beta, js = _beta_of(ws, table)
         trace.append((r, 0, beta))
         converged = False
         for it in range(1, config.max_iterations + 1):
-            new_beta, js = _sweep(ws, enc, bob_map, beta, js, config.optimize_edges)
+            new_beta, js = _sweep(ws, table, beta, js, config.optimize_edges)
             trace.append((r, it, new_beta))
             if new_beta - beta < config.tolerance:
                 beta = new_beta

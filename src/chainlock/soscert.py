@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import DegenerateCertificateError
 from .qcore import (QuantumModel, anticommutator_report, apply_to_slot, beta_quantum,
-                    edge_combinations, reduced_density)
-from .scenario import SignEncoding, build_bob_input_map, build_encoding
+                    reduced_density, signed_sums)
+from .scenario import build_encoding
 
 CERTIFICATE_TOL = 1e-7
 DEGENERATE_TOL = 1e-12
@@ -60,11 +60,15 @@ def tsirelson_ceiling(n: int) -> float:
     return 2 ** (n - 1) * math.sqrt(n)
 
 
-def omega_values(model: QuantumModel,
-                 enc: SignEncoding | None = None) -> tuple[list[float], list[float]]:
+def _edge_sums(model: QuantumModel):
+    signs = build_encoding(model.n).signs
+    return (signed_sums(signs, [o.matrix for o in model.alice]),
+            signed_sums(signs, [o.matrix for o in model.charlie]))
+
+
+def omega_values(model: QuantumModel) -> tuple[list[float], list[float]]:
     """omega^A_i = ||Y^A_i |psi>|| and omega^C_i likewise, via reduced states."""
-    enc = enc or build_encoding(model.n)
-    ya, yc = edge_combinations(model, enc)
+    ya, yc = _edge_sums(model)
     rho_a = reduced_density(model.state, *model.layout.alice_slot())
     rho_c = reduced_density(model.state, *model.layout.charlie_slot())
     omega_a = [math.sqrt(max(0.0, float(np.trace(rho_a @ (y @ y)).real))) for y in ya]
@@ -77,14 +81,12 @@ def omega_values(model: QuantumModel,
     return omega_a, omega_c
 
 
-def condition_residuals(model: QuantumModel,
-                        enc: SignEncoding | None = None) -> list[float]:
+def condition_residuals(model: QuantumModel) -> list[float]:
     """|| B_i|psi> - (Y^A_i (x) Y^C_i / omega_i)|psi> || for every term, dense."""
     n, lay = model.n, model.layout
-    enc = enc or build_encoding(n)
-    bob_map = build_bob_input_map(n)
-    omega_a, omega_c = omega_values(model, enc)
-    ya, yc = edge_combinations(model, enc)
+    omega_a, omega_c = omega_values(model)
+    ya, yc = _edge_sums(model)
+    central = build_encoding(n).central
     amp = model.state.amplitudes
     total = lay.total_qubits
     out = []
@@ -94,8 +96,8 @@ def condition_residuals(model: QuantumModel,
             raise DegenerateCertificateError(
                 f"term {i + 1}: signed edge combination annihilates the state")
         phi_b = amp
-        for t, y in enumerate(bob_map.rows[i], start=1):
-            phi_b = apply_to_slot(phi_b, model.bobs[t - 1][y - 1].matrix,
+        for t, y in enumerate(central[i], start=1):
+            phi_b = apply_to_slot(phi_b, model.bobs[t - 1][y].matrix,
                                   *lay.bob_slot(t), total)
         phi_t = apply_to_slot(amp, ya[i], *lay.alice_slot(), total)
         phi_t = apply_to_slot(phi_t, yc[i], *lay.charlie_slot(), total)
@@ -106,11 +108,10 @@ def condition_residuals(model: QuantumModel,
 def certify(model: QuantumModel, tol: float = CERTIFICATE_TOL) -> CertificateReport:
     """Full certificate: omega values, tau, beta, gap, residuals, anticommutators."""
     n = model.n
-    enc = build_encoding(n)
-    omega_a, omega_c = omega_values(model, enc)
+    omega_a, omega_c = omega_values(model)
     tau = sum(math.sqrt(a * c) for a, c in zip(omega_a, omega_c))
-    beta, _ = beta_quantum(model, enc)
-    residuals = condition_residuals(model, enc)
+    beta, _ = beta_quantum(model)
+    residuals = condition_residuals(model)
     rep_a = anticommutator_report(model.alice)
     rep_c = anticommutator_report(model.charlie)
     off_a = rep_a - np.diag(np.diag(rep_a))

@@ -34,6 +34,9 @@ def test_bound_usage_error(capsys):
     code, _, err = run_cli(capsys, "bound", "--n", "1")
     assert code == 2
     assert "error" in json.loads(err)
+    for threads in ("abc", "0", "-5"):
+        code, _, _ = run_cli(capsys, "bound", "--n", "2", "--exhaustive", "--threads", threads)
+        assert code == 2
 
 
 def test_missing_subcommand_is_usage_error(capsys):
@@ -149,3 +152,21 @@ def test_threads_env_fallback(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "bound", "--n", "2", "--exhaustive")
     assert code == 0
     assert json.loads(out)["lhv_max"] == 2
+    for bad in ("abc", "0", "-5"):
+        monkeypatch.setenv("CHAINLOCK_THREADS", bad)
+        code, _, err = run_cli(capsys, "bound", "--n", "2", "--exhaustive")
+        assert code == 2
+        assert "CHAINLOCK_THREADS" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["quantum", "--n", "2", "--threads", "1"],
+    ["seesaw", "--n", "2", "--threads", "1"],
+    ["certify", "--model", "model.json", "--threads", "1"],
+    ["quantum", "--n", "2", "--construction", "jw"],
+])
+def test_removed_options_are_usage_errors(capsys, argv):
+    # --threads belongs to bound alone, and quantum has no --construction
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 2
+

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chainlock.constructions import (OptimalModelRecipe, fit_bob_observables,
-                                     optimal_model, solve_bob_condition)
+from chainlock.constructions import fit_bob_observables, optimal_model, solve_bob_condition
 from chainlock.errors import CapacityError, ConstructionFailedError
 from chainlock.qcore import (PAULI_X, PAULI_Z, bell_chain_state, beta_quantum,
                              jordan_wigner_set, kron_all)
@@ -13,12 +12,16 @@ from chainlock.soscert import tsirelson_ceiling
 SQ2 = math.sqrt(2)
 
 
-def test_recipe_defaults():
-    assert OptimalModelRecipe(2).bob_rule == "explicit_n2"
-    assert OptimalModelRecipe(3).bob_rule == "explicit_n3"
-    assert OptimalModelRecipe(4).bob_rule == "solve_condition"
-    assert OptimalModelRecipe(4).expected_beta == pytest.approx(16.0)
-    assert OptimalModelRecipe(5).expected_beta == pytest.approx(16 * math.sqrt(5))
+def test_optimal_model_dispatch():
+    # every n aims at the ceiling; n=2 is built explicitly, n=3 as the closest
+    # product-Pauli model, n >= 4 by the least-squares condition solve
+    assert tsirelson_ceiling(4) == pytest.approx(16.0)
+    assert tsirelson_ceiling(5) == pytest.approx(16 * math.sqrt(5))
+    optimal_model(2)
+    with pytest.raises(ConstructionFailedError, match="closest product-Pauli"):
+        optimal_model(3)
+    with pytest.raises(ConstructionFailedError, match="least-squares"):
+        optimal_model(4)
 
 
 def test_optimal_model_n2():

@@ -7,7 +7,7 @@ from chainlock.errors import CapacityError, ShapeError
 from chainlock.nlocal import (Behavior, DeterministicStrategy, alpha_bruteforce,
                               alpha_closed_form, assignment_scores, behavior_from_strategy,
                               beta_of_behavior, bound_report, lhv_exhaustive_max)
-from chainlock.scenario import ChainScenario, build_encoding
+from chainlock.scenario import build_encoding
 
 
 def naive_assignment_scores(n):
@@ -55,13 +55,13 @@ def test_bound_report_witness_attains_alpha():
         rep = bound_report(n)
         assert rep.match
         beta = beta_of_behavior(
-            behavior_from_strategy(rep.witness, ChainScenario(n)))
+            behavior_from_strategy(rep.witness, n))
         assert beta == pytest.approx(rep.alpha_closed, abs=1e-9)
 
 
 def test_behavior_all_plus_n2():
     s = DeterministicStrategy(alice=(1, 1), charlie=(1, 1), bobs=((1, 1),))
-    b = behavior_from_strategy(s, ChainScenario(2))
+    b = behavior_from_strategy(s, 2)
     # sign +1 maps to outcome 0 for every party and input
     assert np.all(b.table[0, 0, 0, :, :, :] == 1.0)
     assert b.table.sum() == b.table[0, 0, 0].size
@@ -69,7 +69,7 @@ def test_behavior_all_plus_n2():
 
 def test_behavior_flipped_alice_input2():
     s = DeterministicStrategy(alice=(1, -1), charlie=(1, 1), bobs=((1, 1),))
-    b = behavior_from_strategy(s, ChainScenario(2))
+    b = behavior_from_strategy(s, 2)
     assert np.all(b.table[1, 0, 0, 1, :, :] == 1.0)  # x=2 -> outcome a=1
     assert np.all(b.table[0, 0, 0, 0, :, :] == 1.0)
 
@@ -78,7 +78,7 @@ def test_behavior_flipped_alice_input2():
 @settings(max_examples=40, deadline=None)
 def test_behavior_rows_sum_to_one(n, data):
     s = _draw_strategy(n, data)
-    b = behavior_from_strategy(s, ChainScenario(n))
+    b = behavior_from_strategy(s, n)
     sums = b.table.sum(axis=(0, 1, 2))
     assert np.allclose(sums, 1.0)
 
@@ -86,7 +86,7 @@ def test_behavior_rows_sum_to_one(n, data):
 def test_behavior_shape_mismatch():
     s = DeterministicStrategy(alice=(1, 1), charlie=(1, 1), bobs=((1, 1),))
     with pytest.raises(ShapeError):
-        behavior_from_strategy(s, ChainScenario(3))
+        behavior_from_strategy(s, 3)
 
 
 def test_behavior_validation():
@@ -98,11 +98,11 @@ def test_behavior_validation():
 
 def test_beta_examples():
     s2 = DeterministicStrategy(alice=(1, 1), charlie=(1, 1), bobs=((1, 1),))
-    beta = beta_of_behavior(behavior_from_strategy(s2, ChainScenario(2)))
+    beta = beta_of_behavior(behavior_from_strategy(s2, 2))
     assert beta == pytest.approx(2.0, abs=1e-12)
 
     s3 = DeterministicStrategy(alice=(1, 1, 1), charlie=(1, 1, 1), bobs=((1, 1), (1, 1)))
-    beta = beta_of_behavior(behavior_from_strategy(s3, ChainScenario(3)))
+    beta = beta_of_behavior(behavior_from_strategy(s3, 3))
     assert beta == pytest.approx(6.0, abs=1e-12)
 
 
@@ -124,7 +124,7 @@ def _draw_strategy(n, data):
 @settings(max_examples=60, deadline=None)
 def test_deterministic_beta_never_exceeds_alpha(n, data):
     s = _draw_strategy(n, data)
-    beta = beta_of_behavior(behavior_from_strategy(s, ChainScenario(n)))
+    beta = beta_of_behavior(behavior_from_strategy(s, n))
     assert beta <= alpha_closed_form(n) + 1e-9
 
 
@@ -132,11 +132,10 @@ def test_deterministic_beta_never_exceeds_alpha(n, data):
 @settings(max_examples=30, deadline=None)
 def test_beta_invariant_under_global_negation(n, data):
     s = _draw_strategy(n, data)
-    sc = ChainScenario(n)
-    base = beta_of_behavior(behavior_from_strategy(s, sc))
+    base = beta_of_behavior(behavior_from_strategy(s, n))
     flipped = DeterministicStrategy(
         alice=tuple(-a for a in s.alice), charlie=s.charlie, bobs=s.bobs)
-    assert beta_of_behavior(behavior_from_strategy(flipped, sc)) == pytest.approx(base, abs=1e-9)
+    assert beta_of_behavior(behavior_from_strategy(flipped, n)) == pytest.approx(base, abs=1e-9)
 
 
 @pytest.mark.parametrize("n,value", [(2, 2), (3, 6)])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainlock.errors import (CapacityError, NumericalConsistencyError, ShapeError,
                               UnsupportedStateError)
@@ -177,9 +179,8 @@ def test_contracted_requires_bell_links():
     amp = np.zeros(16, dtype=complex)
     amp[0] = 1.0
     product_state = NetworkState(amplitudes=amp, layout=model.layout)
-    broken = type(model)(scenario=model.scenario, layout=model.layout,
-                         state=product_state, alice=model.alice, bobs=model.bobs,
-                         charlie=model.charlie)
+    broken = type(model)(layout=model.layout, state=product_state, alice=model.alice,
+                         bobs=model.bobs, charlie=model.charlie)
     with pytest.raises(UnsupportedStateError):
         correlator_contracted(broken, 1, (1,), 1)
     # dense path still works on arbitrary states
@@ -198,9 +199,8 @@ def test_beta_invariant_under_local_unitary():
     rotated_state = NetworkState(amplitudes=amp, layout=model.layout)
     rotated = make_model(3, rotated_alice, [[o.matrix for o in p] for p in model.bobs],
                          [c.matrix for c in model.charlie], qubits_per_half=1)
-    rotated = type(model)(scenario=rotated.scenario, layout=rotated.layout,
-                          state=rotated_state, alice=rotated.alice,
-                          bobs=rotated.bobs, charlie=rotated.charlie)
+    rotated = type(model)(layout=rotated.layout, state=rotated_state,
+                          alice=rotated.alice, bobs=rotated.bobs, charlie=rotated.charlie)
     got, _ = beta_quantum(rotated, evaluator="dense")
     assert got == pytest.approx(base, abs=1e-9)
 
@@ -263,6 +263,32 @@ def test_bob_slot_matrix_matches_dense():
             assert np.trace(probe @ g).real == pytest.approx(want, abs=1e-11)
 
 
+@given(st.integers(min_value=2, max_value=4), st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.data())
+@settings(max_examples=25, deadline=None)
+def test_central_slot_matrix_is_j_linear(n, seed, data):
+    # W for slot (t, y) is built with that slot open, so any dichotomic B put
+    # there gives tr(B W) = sum_i w_i J_i over the terms that read the slot,
+    # with J_i from the dense evaluator
+    from chainlock.qcore import central_slot_matrix, signed_sums, term_values
+    from chainlock.scenario import build_encoding
+    t = data.draw(st.integers(min_value=0, max_value=n - 2))
+    y = data.draw(st.integers(min_value=0, max_value=1))
+    rng = np.random.default_rng(seed)
+    model = random_model_mats(n, 1, rng)
+    table = build_encoding(n)
+    alice = [o.matrix for o in model.alice]
+    charlie = [o.matrix for o in model.charlie]
+    bobs = [[o.matrix for o in pair] for pair in model.bobs]
+    weights = rng.normal(size=table.terms)
+    w = central_slot_matrix(signed_sums(table.signs, alice), signed_sums(table.signs, charlie),
+                            bobs, table.central, weights, t, y, 2)
+    bobs[t][y] = random_dichotomic(4, rng)
+    js = term_values(make_model(n, alice, bobs, charlie, qubits_per_half=1), evaluator="dense")
+    want = sum(weights[i] * js[i] for i, row in enumerate(table.central) if row[t] == y)
+    assert abs(np.trace(bobs[t][y] @ w) - want) < 1e-9
+
+
 def test_edge_slot_matrix_matches_dense():
     from chainlock.qcore import edge_slot_matrix
     rng = np.random.default_rng(42)
@@ -282,14 +308,13 @@ def test_embedded_classical_strategy_reproduces_behavior_beta():
     # through the quantum evaluators as through the behavior table
     from chainlock.nlocal import (DeterministicStrategy, behavior_from_strategy,
                                   beta_of_behavior)
-    from chainlock.scenario import ChainScenario
     rng = np.random.default_rng(43)
     for n in (2, 3, 4):
         alice = tuple(int(s) for s in rng.choice((-1, 1), size=n))
         charlie = tuple(int(s) for s in rng.choice((-1, 1), size=n))
         bobs = tuple((int(a), int(b)) for a, b in rng.choice((-1, 1), size=(n - 1, 2)))
         strat = DeterministicStrategy(alice=alice, charlie=charlie, bobs=bobs)
-        classical = beta_of_behavior(behavior_from_strategy(strat, ChainScenario(n)))
+        classical = beta_of_behavior(behavior_from_strategy(strat, n))
         m = max(1, n // 2)
         d = 2 ** m
         model = make_model(
@@ -333,7 +358,7 @@ def test_beta_invariant_under_local_unitary_on_central_slot():
                         model.layout.total_qubits)
     rotated = make_model(3, [a.matrix for a in model.alice], rotated_bobs,
                          [c.matrix for c in model.charlie], qubits_per_half=1)
-    rotated = type(model)(scenario=rotated.scenario, layout=rotated.layout,
+    rotated = type(model)(layout=rotated.layout,
                           state=NetworkState(amplitudes=amp, layout=model.layout),
                           alice=rotated.alice, bobs=rotated.bobs,
                           charlie=rotated.charlie)

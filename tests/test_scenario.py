@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainlock.scenario import (ChainScenario, bob_inputs_for_term, build_bob_input_map,
-                                build_encoding, scenario_to_json_dict)
+from chainlock.scenario import (bob_inputs_for_term, build_bob_input_map, build_encoding,
+                                scenario_to_json_dict)
 
 
 def test_scenario_counts():
-    sc = ChainScenario(5)
+    sc = build_encoding(5)
     assert sc.edge_inputs == 5
     assert sc.central_parties == 4
     assert sc.central_inputs == 2
@@ -18,7 +18,7 @@ def test_scenario_counts():
 
 def test_scenario_too_small():
     with pytest.raises(ValueError):
-        ChainScenario(1)
+        build_bob_input_map(1)
     with pytest.raises(ValueError):
         build_encoding(1)
 
@@ -67,9 +67,9 @@ def test_bob_inputs_examples():
 
 
 def test_bob_inputs_first_and_last_rows():
-    bmap = build_bob_input_map(6)
-    assert bmap.rows[0] == (1, 1, 1, 1, 1)
-    assert bmap.rows[-1] == (2, 2, 2, 2, 2)
+    rows = build_bob_input_map(6)
+    assert rows[0] == (1, 1, 1, 1, 1)
+    assert rows[-1] == (2, 2, 2, 2, 2)
 
 
 @pytest.mark.parametrize("n", range(2, 8))
@@ -97,6 +97,10 @@ def test_row_is_signed_bitstring(n, data):
     assert bits[0] == "0"
     assert int(bits, 2) == i - 1
     assert [1 - 2 * int(b) for b in bits] == enc.row(i).tolist()
+    # the central inputs of every term are its sign row's trailing bits, plus 1
+    assert bob_inputs_for_term(n, i) == tuple(int(b) + 1 for b in bits[1:])
+    assert build_bob_input_map(n) == tuple(
+        tuple((1 - int(s)) // 2 + 1 for s in row[1:]) for row in enc.signs)
 
 
 def test_scenario_json_shape():
@@ -106,7 +110,11 @@ def test_scenario_json_shape():
     assert d["bob_inputs"] == [[1, 1], [1, 2], [2, 1], [2, 2]]
 
 
-def test_encoding_rows_immutable():
-    enc = build_encoding(3)
+@given(st.integers(min_value=2, max_value=10))
+@settings(max_examples=20, deadline=None)
+def test_encoding_rows_immutable(n):
+    # one cached table per n, shared by every caller, so it must stay read-only
+    enc = build_encoding(n)
+    assert build_encoding(n) is enc
     with pytest.raises(ValueError):
         enc.signs[0, 0] = -1
