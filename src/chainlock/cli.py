@@ -54,6 +54,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be a number > 0, got {text}")
+    return value
+
+
 def _maybe_dump_scenario(args) -> bool:
     if getattr(args, "dump_scenario", False):
         _emit(scenario_to_json_dict(args.n), args.out)
@@ -208,19 +215,19 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_quantum)
     p_quantum.add_argument("--evaluator", choices=["dense", "contracted", "auto"],
                            default="auto")
-    p_quantum.add_argument("--pairs-per-source", type=int, default=None)
+    p_quantum.add_argument("--pairs-per-source", type=_positive_int, default=None)
     p_quantum.add_argument("--dump-model", action="store_true",
                            help="include the model matrices in the output")
     p_quantum.set_defaults(func=_cmd_quantum)
 
     p_seesaw = sub.add_parser("seesaw", help="variational maximization of beta")
     add_common(p_seesaw)
-    p_seesaw.add_argument("--restarts", type=int, default=10)
+    p_seesaw.add_argument("--restarts", type=_positive_int, default=10)
     p_seesaw.add_argument("--seed", type=int, default=0)
-    p_seesaw.add_argument("--max-iterations", type=int, default=500)
-    p_seesaw.add_argument("--tol", type=float, default=1e-7)
+    p_seesaw.add_argument("--max-iterations", type=_positive_int, default=500)
+    p_seesaw.add_argument("--tol", type=_positive_float, default=1e-7)
     p_seesaw.add_argument("--freeze-edges", action="store_true")
-    p_seesaw.add_argument("--pairs-per-source", type=int, default=None)
+    p_seesaw.add_argument("--pairs-per-source", type=_positive_int, default=None)
     p_seesaw.add_argument("--trace-csv", help="write restart,iteration,beta rows")
     p_seesaw.add_argument("--require-certified", action="store_true")
     p_seesaw.set_defaults(func=_cmd_seesaw)

@@ -17,9 +17,9 @@ import numpy as np
 
 from .errors import CapacityError, ConstructionFailedError
 from .qcore import (PAULI_X, PAULI_Y, PAULI_Z, NetworkState, Observable, QuantumModel,
-                    bell_chain_state, beta_quantum, central_slot_matrix, default_layout,
-                    dichotomic_projection, jordan_wigner_set, kron_all, make_model,
-                    random_dichotomic, signed_sums, term_expectations)
+                    CentralSweep, bell_chain_state, beta_quantum, close_chain,
+                    default_layout, dichotomic_projection, jordan_wigner_set, kron_all,
+                    make_model, random_dichotomic, signed_sums, term_expectations)
 from .scenario import build_encoding
 from .soscert import condition_residuals, omega_values, tsirelson_ceiling
 
@@ -65,10 +65,12 @@ def fit_bob_observables(state: NetworkState, edge_observables,
     """Least-squares fit of per-party central observables to the zero conditions.
 
     Maximizes sum_i <psi| T_i B_i |psi> with T_i = (Y^A_i (x) Y^C_i)/omega_i
-    by coordinate ascent over the central slots with dichotomic projection,
-    using the seesaw's open-slot helpers with unit weights on the pre-scaled
-    terms; the per-term residuals are r_i = sqrt(2 - 2 overlap_i).  Returns
-    (bobs, overlaps) for the best deterministic start.
+    by coordinate ascent over the central slots with dichotomic projection.
+    Each sweep is the seesaw's cached central pass (``CentralSweep``) with
+    unit weights on the pre-scaled terms: every term keeps its left and right
+    environments through the sweep, and the sweep's overlaps close the last
+    left environments.  The per-term residuals are r_i = sqrt(2 - 2 overlap_i).
+    Returns (bobs, overlaps) for the best deterministic start.
     """
     layout = state.layout
     n, d = layout.n, layout.link_dim
@@ -91,11 +93,13 @@ def fit_bob_observables(state: NetworkState, edge_observables,
     def sweep_to_convergence(bobs):
         prev = overlaps(bobs).sum()
         for _ in range(sweeps):
+            sweep = CentralSweep(lefts, ys, bobs, table.central, d)
             for t in range(n - 1):
                 for yv in range(2):
-                    w = central_slot_matrix(lefts, ys, bobs, table.central, weights, t, yv, d)
-                    bobs[t][yv] = dichotomic_projection(w)
-            cur = overlaps(bobs).sum()
+                    bobs[t][yv] = dichotomic_projection(sweep.slot_matrix(t, yv, weights))
+                sweep.advance(t)
+            cur = np.array([close_chain(env, y, d, n).real
+                            for env, y in zip(sweep.left, ys)]).sum()
             if abs(cur - prev) < 1e-13:
                 break
             prev = cur

@@ -102,7 +102,9 @@ class ChainLayout:
 
 def default_layout(n: int, qubits_per_half: int | None = None) -> ChainLayout:
     """floor(n/2) Bell pairs per source unless overridden."""
-    return ChainLayout(n=n, qubits_per_half=qubits_per_half or max(1, n // 2))
+    if qubits_per_half is None:
+        qubits_per_half = max(1, n // 2)
+    return ChainLayout(n=n, qubits_per_half=qubits_per_half)
 
 
 @dataclass(frozen=True)
@@ -276,11 +278,7 @@ def chain_expectation(a_mat: np.ndarray, bob_mats, c_mat: np.ndarray, d: int) ->
     On each link <phi| P (x) Q |phi> = tr(P Q^T)/d, which threads the whole
     correlator into d x d transfers with one global 1/d^n factor.
     """
-    n = len(bob_mats) + 1
-    env = np.asarray(a_mat, dtype=complex)
-    for b in bob_mats:
-        env = transfer_forward(env, np.asarray(b, dtype=complex), d)
-    return np.einsum("ab,ab->", env, np.asarray(c_mat, dtype=complex)) / d ** n
+    return close_chain(left_environments(a_mat, bob_mats, d)[-1], c_mat, d, len(bob_mats) + 1)
 
 
 def _require_bell_links(model: QuantumModel):
@@ -348,10 +346,42 @@ def beta_quantum(model: QuantumModel,
 # ---------------------------------------------------------------------------
 # open-slot functionals (used by the seesaw and the condition solver)
 #
-# Both optimizers walk the terms with three shared pieces: the signed edge
-# sums, the per-term chain values, and the weighted central-slot matrix.
+# Everything here is one of two folds: a left operator pushed forward through
+# central operators (``left_environments``) or a right operator pulled back
+# through them (``right_environments``).  A chain value closes a full left
+# environment against the right operator; an open-slot matrix joins the left
+# and right environments on either side of the slot.  ``CentralSweep`` keeps
+# every term's environments through a left-to-right pass, so each slot matrix
+# costs one contraction per term; a cached environment is the same float
+# sequence as a fresh fold, so cached and fresh values are equal bit for bit.
 # ``bobs[t][y]`` is the matrix of central party t+1 for 0-based input y, and
 # ``central`` is the term table's per-term tuple of those 0-based inputs.
+
+def left_environments(a_mat, bob_mats, d: int) -> list[np.ndarray]:
+    """envs[k] = a pushed forward through bob_mats[:k], for k = 0..len(bob_mats)."""
+    envs = [np.asarray(a_mat, dtype=complex)]
+    for b in bob_mats:
+        envs.append(transfer_forward(envs[-1], np.asarray(b, dtype=complex), d))
+    return envs
+
+
+def right_environments(c_mat, bob_mats, d: int) -> list[np.ndarray]:
+    """envs[k] = c pulled back through bob_mats[k:], for k = 0..len(bob_mats)."""
+    envs = [np.asarray(c_mat, dtype=complex)]
+    for b in reversed(bob_mats):
+        envs.append(transfer_backward(envs[-1], np.asarray(b, dtype=complex), d))
+    return envs[::-1]
+
+
+def close_chain(left_env: np.ndarray, c_mat, d: int, n: int) -> complex:
+    """Chain value from a full left environment and the right edge operator."""
+    return np.einsum("ab,ab->", left_env, np.asarray(c_mat, dtype=complex)) / d ** n
+
+
+def open_slot(left_env: np.ndarray, right_env: np.ndarray, d: int, n: int) -> np.ndarray:
+    """G with <chain> = tr(B G) for the central operator B between two environments."""
+    return np.einsum("ab,cd->bdac", left_env, right_env).reshape(d * d, d * d) / d ** n
+
 
 def signed_sums(signs: np.ndarray, mats) -> list[np.ndarray]:
     """Y_i = sum_x signs[i, x] M_x for every term: the signed edge combinations."""
@@ -368,45 +398,71 @@ def term_expectations(lefts, rights, bobs, central, d: int) -> list[complex]:
             for a, c, row in zip(lefts, rights, central)]
 
 
-def central_slot_matrix(lefts, rights, bobs, central, weights, t: int, y: int,
-                        d: int) -> np.ndarray:
-    """W = sum_i weights[i] G_i over the terms i whose central party t+1 reads input y.
+class CentralSweep:
+    """Every term's environments through one left-to-right pass over the central slots.
 
-    G_i is term i's open-slot matrix with that slot left open, so an operator
-    B placed in the slot gives tr(B W) = sum_i weights[i] <L_i (x) B_i (x) R_i>.
+    ``right[i][t + 1]`` is rights[i] pulled back through term i's operators
+    after party t+1, built once from ``bobs`` as they stand at construction;
+    ``left[i]`` is lefts[i] pushed through the parties already passed.  The
+    caller may change ``bobs[t][y]`` (in place) while the sweep is at party
+    t+1 and calls ``advance(t)`` once it moves on; after the last party
+    ``left`` holds the full left environments.
     """
-    n = len(bobs) + 1
-    w = np.zeros((d * d, d * d), dtype=complex)
-    for i, row in enumerate(central):
-        if row[t] != y:
-            continue
-        before = [bobs[u][row[u]] for u in range(t)]
-        after = [bobs[u][row[u]] for u in range(t + 1, n - 1)]
-        w += weights[i] * bob_slot_matrix(lefts[i], before, after, rights[i], d, n)
-    return w
+
+    def __init__(self, lefts, rights, bobs, central, d: int):
+        self.right_ops, self.bobs, self.central, self.d = rights, bobs, central, d
+        self.n = len(bobs) + 1
+        self.left = [np.asarray(a, dtype=complex) for a in lefts]
+        self.right = [right_environments(c, self._operators(row, 0), d)
+                      for c, row in zip(rights, central)]
+
+    def _operators(self, row, start: int) -> list[np.ndarray]:
+        return [self.bobs[u][row[u]] for u in range(start, self.n - 1)]
+
+    def readers(self, t: int, y: int) -> list[int]:
+        """The terms whose central party t+1 reads input y."""
+        return [i for i, row in enumerate(self.central) if row[t] == y]
+
+    def slot_matrix(self, t: int, y: int, weights) -> np.ndarray:
+        """W = sum_i weights[i] G_i over the readers of slot (t, y).
+
+        G_i is term i's open-slot matrix, so an operator B placed in the slot
+        gives tr(B W) = sum_i weights[i] <L_i (x) B_i (x) R_i>.
+        """
+        d, n = self.d, self.n
+        w = np.zeros((d * d, d * d), dtype=complex)
+        for i in self.readers(t, y):
+            w += weights[i] * open_slot(self.left[i], self.right[i][t + 1], d, n)
+        return w
+
+    def refold(self, t: int, y: int) -> dict[int, complex]:
+        """Chain value of every reader of slot (t, y) with the operator now in it."""
+        values = {}
+        for i in self.readers(t, y):
+            ops = self._operators(self.central[i], t)
+            env = left_environments(self.left[i], ops, self.d)[-1]
+            values[i] = close_chain(env, self.right_ops[i], self.d, self.n)
+        return values
+
+    def advance(self, t: int):
+        """Push every left environment through its operator of central party t+1."""
+        self.left = [transfer_forward(env, self.bobs[t][row[t]], self.d)
+                     for env, row in zip(self.left, self.central)]
 
 
 def bob_slot_matrix(a_mat, bob_mats_before, bob_mats_after, c_mat, d: int,
                     n: int) -> np.ndarray:
     """G with <chain> = tr(B G) when central operator B is left open."""
-    left = np.asarray(a_mat, dtype=complex)
-    for b in bob_mats_before:
-        left = transfer_forward(left, np.asarray(b, dtype=complex), d)
-    right = np.asarray(c_mat, dtype=complex)
-    for b in reversed(bob_mats_after):
-        right = transfer_backward(right, np.asarray(b, dtype=complex), d)
-    return np.einsum("ab,cd->bdac", left, right).reshape(d * d, d * d) / d ** n
+    return open_slot(left_environments(a_mat, bob_mats_before, d)[-1],
+                     right_environments(c_mat, bob_mats_after, d)[0], d, n)
 
 
 def edge_slot_matrix(side: str, bob_mats, other_edge_mat, d: int, n: int) -> np.ndarray:
     """G with <chain> = tr(E G) when one edge operator E is left open."""
-    env = np.asarray(other_edge_mat, dtype=complex)
     if side == "alice":
-        for b in reversed(bob_mats):
-            env = transfer_backward(env, np.asarray(b, dtype=complex), d)
+        env = right_environments(other_edge_mat, bob_mats, d)[0]
     elif side == "charlie":
-        for b in bob_mats:
-            env = transfer_forward(env, np.asarray(b, dtype=complex), d)
+        env = left_environments(other_edge_mat, bob_mats, d)[-1]
     else:
         raise ValueError("side must be 'alice' or 'charlie'")
     return env.T / d ** n

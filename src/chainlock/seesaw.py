@@ -4,6 +4,21 @@ Each sub-update forms the effective Hermitian operator of the linearized
 objective with one observable slot left open (chain contraction) and replaces
 the observable by the dichotomic projection of that operator.  An update that
 would lower beta is discarded, which keeps every trace monotone.
+
+A sweep keeps every term's chain environments instead of refolding all terms
+after each update (the left/right block caching of DMRG sweeps):
+
+- central slots, left to right: the right environments are built once per
+  sweep and each term's left environment advances past a party once its two
+  slots are done.  A candidate refolds only the terms that read the updated
+  slot, forward from their cached left environment; every other J_i is kept.
+- Alice: the open-slot matrices are the full right environments, built once
+  for the phase; a candidate rebuilds the Alice sums and refolds each term.
+- Charlie: the open-slot matrices are the accepted full left environments; a
+  candidate J_i is one closing contraction against the new Charlie sum.
+
+Each cached value is the float sequence of a fresh fold, so the trace equals
+that of refolding everything, bit for bit.
 """
 from __future__ import annotations
 
@@ -11,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import (QuantumModel, central_slot_matrix, default_layout,
-                    dichotomic_projection, edge_slot_matrix, make_model,
-                    random_dichotomic, signed_sums, term_expectations)
+from .qcore import (CentralSweep, QuantumModel, close_chain, default_layout,
+                    dichotomic_projection, edge_slot_matrix, left_environments,
+                    make_model, random_dichotomic, signed_sums, term_expectations)
 from .scenario import build_encoding
 
 WEIGHT_FLOOR = 1e-12
@@ -101,35 +116,64 @@ def _weights(js: np.ndarray) -> np.ndarray:
 def _sweep(ws: _Workspace, table, beta: float, js: np.ndarray,
            optimize_edges: bool) -> tuple[float, np.ndarray]:
     n, d = ws.n, ws.d
+    central = table.central
 
-    def try_update(slots: list, k: int, w: np.ndarray):
-        """Project w into slots[k]; keep it unless beta drops."""
+    def keep(cand_js: np.ndarray) -> bool:
+        """Accept the candidate J_i unless beta drops."""
         nonlocal beta, js
-        old = slots[k]
-        slots[k] = dichotomic_projection(w)
-        cand, cand_js = _beta_of(ws, table)
+        cand = float(np.sum(np.sqrt(np.abs(cand_js))))
         if cand < beta - 1e-12:
-            slots[k] = old
-        else:
-            beta, js = cand, cand_js
+            return False
+        beta, js = cand, cand_js
+        return True
+
+    def edge_matrix(slots: list, x: int) -> np.ndarray:
+        """sum_i c_i signs[i, x] G_i over every term, with edge slot x open."""
+        c = _weights(js)
+        w = np.zeros((d, d), dtype=complex)
+        for i in range(table.terms):
+            w += c[i] * table.signs[i][x] * slots[i]
+        return w
 
     ya, yc = _edge_sums(ws, table)  # the edge sums stay fixed while central slots move
+    sweep = CentralSweep(ya, yc, ws.bobs, central, d)
     for t in range(n - 1):
         for yv in range(2):
-            try_update(ws.bobs[t], yv, central_slot_matrix(
-                ya, yc, ws.bobs, table.central, _weights(js), t, yv, d))
-    if optimize_edges:
-        for side, edges, other in (("alice", ws.alice, ws.charlie),
-                                   ("charlie", ws.charlie, ws.alice)):
-            other_sums = signed_sums(table.signs, other)  # fixed while this side moves
-            for x in range(n):
-                c = _weights(js)
-                w = np.zeros((d, d), dtype=complex)
-                for i, row in enumerate(table.central):
-                    mats = [ws.bobs[t][y] for t, y in enumerate(row)]
-                    w += (c[i] * table.signs[i][x]
-                          * edge_slot_matrix(side, mats, other_sums[i], d, n))
-                try_update(edges, x, w)
+            old = ws.bobs[t][yv]
+            ws.bobs[t][yv] = dichotomic_projection(sweep.slot_matrix(t, yv, _weights(js)))
+            cand_js = js.copy()  # terms that do not read the slot keep their J_i
+            for i, v in sweep.refold(t, yv).items():
+                cand_js[i] = v.real
+            if not keep(cand_js):
+                ws.bobs[t][yv] = old
+        sweep.advance(t)
+    if not optimize_edges:
+        return beta, js
+    ops = [[ws.bobs[t][y] for t, y in enumerate(row)] for row in central]
+    lefts = sweep.left  # full left environments of the accepted observables
+    # Alice's open-slot matrices are the full right environments, built once;
+    # a candidate refolds every term from its new signed sum.
+    slots = [edge_slot_matrix("alice", mats, c, d, n) for c, mats in zip(yc, ops)]
+    for x in range(n):
+        old = ws.alice[x]
+        ws.alice[x] = dichotomic_projection(edge_matrix(slots, x))
+        cand_lefts = [left_environments(a, mats, d)[-1]
+                      for a, mats in zip(signed_sums(table.signs, ws.alice), ops)]
+        if keep(np.array([close_chain(env, c, d, n).real for env, c in zip(cand_lefts, yc)])):
+            lefts = cand_lefts
+        else:
+            ws.alice[x] = old
+    # Charlie's open-slot matrices are those left environments (what
+    # edge_slot_matrix("charlie", ...) would refold); a candidate closes each
+    # of them against its new signed sum.
+    slots = [env.T / d ** n for env in lefts]
+    for x in range(n):
+        old = ws.charlie[x]
+        ws.charlie[x] = dichotomic_projection(edge_matrix(slots, x))
+        cand_yc = signed_sums(table.signs, ws.charlie)
+        if not keep(np.array([close_chain(env, c, d, n).real
+                              for env, c in zip(lefts, cand_yc)])):
+            ws.charlie[x] = old
     return beta, js
 
 

@@ -170,3 +170,15 @@ def test_removed_options_are_usage_errors(capsys, argv):
     code, _, _ = run_cli(capsys, *argv)
     assert code == 2
 
+
+
+@pytest.mark.parametrize("command, option", [
+    ("seesaw", "--restarts"), ("seesaw", "--max-iterations"), ("seesaw", "--tol"),
+    ("seesaw", "--pairs-per-source"), ("quantum", "--pairs-per-source"),
+])
+@pytest.mark.parametrize("value", ["0", "-1", "abc"])
+def test_nonpositive_numbers_are_usage_errors(capsys, command, option, value):
+    # rejected while parsing, before any computation starts
+    code, out, _ = run_cli(capsys, command, "--n", "2", option, value)
+    assert code == 2
+    assert out == ""

@@ -60,6 +60,16 @@ def test_optimal_model_solve_route_reports_obstruction(n, overlap):
     assert list(err.residuals) == pytest.approx([expected_res] * 2 ** (n - 1), abs=1e-6)
 
 
+def test_optimal_model_n4_residuals_pinned():
+    # frozen from the uncached fitter sweep; any moved bit means the
+    # arithmetic order of the fit changed
+    with pytest.raises(ConstructionFailedError) as exc:
+        optimal_model(4)
+    assert list(exc.value.residuals) == [
+        0.9999999797012797, 0.9999999643571016, 1.000000035642898, 1.0000000202987214,
+        0.9999999643571016, 0.9999999797012797, 1.0000000202987214, 1.0000000356428977]
+
+
 def test_optimal_model_n3_two_pairs_still_obstructed():
     with pytest.raises(ConstructionFailedError):
         optimal_model(3, qubits_per_half=2)

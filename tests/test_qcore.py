@@ -58,6 +58,8 @@ def test_default_layout_half_counts():
     assert default_layout(4).qubits_per_half == 2
     assert default_layout(5).qubits_per_half == 2
     assert default_layout(4, qubits_per_half=1).qubits_per_half == 1
+    with pytest.raises(ValueError):
+        default_layout(4, qubits_per_half=0)  # an explicit 0 is not "use the default"
 
 
 def test_bell_chain_n2_amplitudes():
@@ -270,7 +272,7 @@ def test_central_slot_matrix_is_j_linear(n, seed, data):
     # W for slot (t, y) is built with that slot open, so any dichotomic B put
     # there gives tr(B W) = sum_i w_i J_i over the terms that read the slot,
     # with J_i from the dense evaluator
-    from chainlock.qcore import central_slot_matrix, signed_sums, term_values
+    from chainlock.qcore import CentralSweep, signed_sums, term_values
     from chainlock.scenario import build_encoding
     t = data.draw(st.integers(min_value=0, max_value=n - 2))
     y = data.draw(st.integers(min_value=0, max_value=1))
@@ -281,8 +283,11 @@ def test_central_slot_matrix_is_j_linear(n, seed, data):
     charlie = [o.matrix for o in model.charlie]
     bobs = [[o.matrix for o in pair] for pair in model.bobs]
     weights = rng.normal(size=table.terms)
-    w = central_slot_matrix(signed_sums(table.signs, alice), signed_sums(table.signs, charlie),
-                            bobs, table.central, weights, t, y, 2)
+    sweep = CentralSweep(signed_sums(table.signs, alice), signed_sums(table.signs, charlie),
+                         bobs, table.central, 2)
+    for u in range(t):
+        sweep.advance(u)
+    w = sweep.slot_matrix(t, y, weights)
     bobs[t][y] = random_dichotomic(4, rng)
     js = term_values(make_model(n, alice, bobs, charlie, qubits_per_half=1), evaluator="dense")
     want = sum(weights[i] * js[i] for i, row in enumerate(table.central) if row[t] == y)
@@ -301,6 +306,46 @@ def test_edge_slot_matrix_matches_dense():
         correlator_dense(model, 3, combo, 1), abs=1e-11)
     assert np.trace(model.charlie[2].matrix @ g_c).real == pytest.approx(
         correlator_dense(model, 2, combo, 3), abs=1e-11)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("m", [1, 2])
+def test_cached_environments_equal_fresh_folds(n, m):
+    # a cached environment is the same float sequence as a fresh fold, so every
+    # slot matrix and chain value of a sweep equals the one-shot helpers exactly
+    from chainlock.qcore import (CentralSweep, bob_slot_matrix, chain_expectation,
+                                 edge_slot_matrix, signed_sums)
+    from chainlock.scenario import build_encoding
+    rng = np.random.default_rng(100 * n + m)
+    model = random_model_mats(n, m, rng)
+    d, table = model.layout.link_dim, build_encoding(n)
+    ya = signed_sums(table.signs, [o.matrix for o in model.alice])
+    yc = signed_sums(table.signs, [o.matrix for o in model.charlie])
+    bobs = [[o.matrix for o in pair] for pair in model.bobs]
+
+    def ops(row):
+        return [bobs[t][y] for t, y in enumerate(row)]
+
+    sweep = CentralSweep(ya, yc, bobs, table.central, d)
+    for i, row in enumerate(table.central):
+        assert np.array_equal(sweep.right[i][0].T / d ** n,
+                              edge_slot_matrix("alice", ops(row), yc[i], d, n))
+    for t in range(n - 1):
+        for y in range(2):
+            readers = sweep.readers(t, y)
+            for i in readers:
+                row = ops(table.central[i])
+                want = bob_slot_matrix(ya[i], row[:t], row[t + 1:], yc[i], d, n)
+                assert np.array_equal(sweep.slot_matrix(t, y, np.eye(table.terms)[i]), want)
+            bobs[t][y] = random_dichotomic(d * d, rng)
+            refolded = sweep.refold(t, y)
+            assert sorted(refolded) == readers
+            for i, value in refolded.items():
+                assert value == chain_expectation(ya[i], ops(table.central[i]), yc[i], d)
+        sweep.advance(t)
+    for i, row in enumerate(table.central):
+        assert np.array_equal(sweep.left[i].T / d ** n,
+                              edge_slot_matrix("charlie", ops(row), ya[i], d, n))
 
 
 def test_embedded_classical_strategy_reproduces_behavior_beta():

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from chainlock.qcore import Observable, beta_quantum
-from chainlock.seesaw import SeesawConfig, SeesawReport, random_model, seesaw_optimize
+from chainlock.qcore import (Observable, beta_quantum, bob_slot_matrix, chain_expectation,
+                             dichotomic_projection, edge_slot_matrix, signed_sums)
+from chainlock.scenario import build_encoding
+from chainlock.seesaw import (SeesawConfig, SeesawReport, _beta_of, _sweep, _weights,
+                              _Workspace, random_model, seesaw_optimize)
 from chainlock.soscert import tsirelson_ceiling
 
 
@@ -87,3 +90,93 @@ def test_report_json_shape():
     d = rep.to_json_dict()
     assert set(d) == {"best_beta", "converged", "restart_betas", "trace", "best_model"}
     assert d["best_model"]["n"] == 2
+
+
+# Restart betas and trace lengths of short seeded runs, frozen from the
+# uncached sweep.  Any moved bit means the arithmetic order changed.
+@pytest.mark.parametrize("n, m, seed, restarts, max_iterations, betas, length", [
+    (3, 1, 5, 2, 40, (5.384245129847384, 5.825789526734355), 70),
+    (4, 2, 3, 1, 500, (11.128774585060832,), 293),
+])
+def test_seesaw_pinned_runs(n, m, seed, restarts, max_iterations, betas, length):
+    rep = seesaw_optimize(n, SeesawConfig(restarts=restarts, seed=seed, qubits_per_half=m,
+                                          max_iterations=max_iterations))
+    assert rep.restart_betas == betas
+    assert len(rep.trace) == length
+    assert rep.best_beta == beta_quantum(rep.best_model, evaluator="contracted")[0]
+
+
+@pytest.mark.parametrize("n, seed, restarts, max_iterations", [
+    (2, 0, 3, 60), (4, 7, 2, 60), (5, 1, 1, 30),
+])
+def test_seesaw_best_beta_is_contracted_beta(n, seed, restarts, max_iterations):
+    rep = seesaw_optimize(n, SeesawConfig(restarts=restarts, seed=seed, qubits_per_half=1,
+                                          max_iterations=max_iterations))
+    assert rep.best_beta == beta_quantum(rep.best_model, evaluator="contracted")[0]
+
+
+def _uncached_sweep(ws, table, beta, js, optimize_edges):
+    """Reference sweep: every candidate refolds every term from scratch."""
+    n, d = ws.n, ws.d
+
+    def operators(row):
+        return [ws.bobs[t][y] for t, y in enumerate(row)]
+
+    def beta_of():
+        ya, yc = signed_sums(table.signs, ws.alice), signed_sums(table.signs, ws.charlie)
+        cand = np.array([chain_expectation(a, operators(row), c, d).real
+                         for a, c, row in zip(ya, yc, table.central)])
+        return float(np.sum(np.sqrt(np.abs(cand)))), cand
+
+    def try_update(slots, k, w):
+        nonlocal beta, js
+        old = slots[k]
+        slots[k] = dichotomic_projection(w)
+        cand, cand_js = beta_of()
+        if cand < beta - 1e-12:
+            slots[k] = old
+        else:
+            beta, js = cand, cand_js
+
+    ya, yc = signed_sums(table.signs, ws.alice), signed_sums(table.signs, ws.charlie)
+    for t in range(n - 1):
+        for yv in range(2):
+            c = _weights(js)
+            w = np.zeros((d * d, d * d), dtype=complex)
+            for i, row in enumerate(table.central):
+                if row[t] == yv:
+                    mats = operators(row)
+                    w += c[i] * bob_slot_matrix(ya[i], mats[:t], mats[t + 1:], yc[i], d, n)
+            try_update(ws.bobs[t], yv, w)
+    if optimize_edges:
+        for side, edges, other in (("alice", ws.alice, ws.charlie),
+                                   ("charlie", ws.charlie, ws.alice)):
+            other_sums = signed_sums(table.signs, other)
+            for x in range(n):
+                c = _weights(js)
+                w = np.zeros((d, d), dtype=complex)
+                for i, row in enumerate(table.central):
+                    w += (c[i] * table.signs[i][x]
+                          * edge_slot_matrix(side, operators(row), other_sums[i], d, n))
+                try_update(edges, x, w)
+    return beta, js
+
+
+@pytest.mark.parametrize("n, m", [(2, 1), (3, 1), (4, 1), (5, 1), (2, 2), (3, 2), (4, 2)])
+@pytest.mark.parametrize("optimize_edges", [True, False])
+def test_cached_sweep_equals_uncached_sweep(n, m, optimize_edges):
+    # the cached sweep must take every accept/reject decision of the uncached
+    # one on the same floats, so betas, J_i and observables match bit for bit
+    table = build_encoding(n)
+    model = random_model(n, seed=10 * n + m, qubits_per_half=m)
+    cached, reference = _Workspace(model), _Workspace(model)
+    beta, js = _beta_of(cached, table)
+    ref_beta, ref_js = beta, js
+    for _ in range(3):
+        beta, js = _sweep(cached, table, beta, js, optimize_edges)
+        ref_beta, ref_js = _uncached_sweep(reference, table, ref_beta, ref_js, optimize_edges)
+        assert beta == ref_beta
+        assert np.array_equal(js, ref_js)
+        for got, want in zip((*cached.alice, *cached.charlie, *sum(cached.bobs, [])),
+                             (*reference.alice, *reference.charlie, *sum(reference.bobs, []))):
+            assert np.array_equal(got, want)
