@@ -17,7 +17,7 @@ from .scenario import (TermTable, bob_inputs_for_term, build_bob_input_map,
 from .nlocal import (Behavior, BoundReport, DeterministicStrategy, alpha_bruteforce,
                      alpha_closed_form, behavior_from_strategy, beta_of_behavior,
                      bound_report, lhv_exhaustive_max)
-from .qcore import (ChainLayout, NetworkState, Observable, QuantumModel,
+from .qcore import (BellChainState, ChainLayout, NetworkState, Observable, QuantumModel,
                     anticommutator_report, bell_chain_state, beta_quantum,
                     correlator_contracted, correlator_dense, jordan_wigner_set,
                     make_model, model_from_json_dict, model_to_json_dict)
@@ -34,7 +34,7 @@ __all__ = [
     "Behavior", "BoundReport", "DeterministicStrategy", "alpha_bruteforce",
     "alpha_closed_form", "behavior_from_strategy", "beta_of_behavior",
     "bound_report", "lhv_exhaustive_max",
-    "ChainLayout", "NetworkState", "Observable", "QuantumModel",
+    "BellChainState", "ChainLayout", "NetworkState", "Observable", "QuantumModel",
     "anticommutator_report", "bell_chain_state", "beta_quantum",
     "correlator_contracted", "correlator_dense", "jordan_wigner_set",
     "make_model", "model_from_json_dict", "model_to_json_dict",

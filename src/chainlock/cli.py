@@ -61,15 +61,16 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _maybe_dump_scenario(args) -> bool:
-    if getattr(args, "dump_scenario", False):
-        _emit(scenario_to_json_dict(args.n), args.out)
-        return True
-    return False
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text}")
+    return value
 
 
 def _cmd_bound(args) -> int:
-    if _maybe_dump_scenario(args):
+    if args.dump_scenario:
+        _emit(scenario_to_json_dict(args.n), args.out)
         return 0
     if args.exhaustive:
         threads = args.threads
@@ -88,8 +89,6 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_quantum(args) -> int:
-    if _maybe_dump_scenario(args):
-        return 0
     expected = tsirelson_ceiling(args.n)
     try:
         model = optimal_model(args.n, qubits_per_half=args.pairs_per_source)
@@ -116,8 +115,6 @@ def _cmd_quantum(args) -> int:
 
 
 def _cmd_seesaw(args) -> int:
-    if _maybe_dump_scenario(args):
-        return 0
     config = SeesawConfig(
         max_iterations=args.max_iterations, tolerance=args.tol,
         restarts=args.restarts, seed=args.seed,
@@ -198,12 +195,12 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, with_n=True):
         if with_n:
             p.add_argument("--n", type=int, required=True, help="number of sources (>= 2)")
-            p.add_argument("--dump-scenario", action="store_true",
-                           help="print the scenario encoding as JSON and exit")
         p.add_argument("--out", help="write output to this path instead of stdout")
 
     p_bound = sub.add_parser("bound", help="classical n-local bound")
     add_common(p_bound)
+    p_bound.add_argument("--dump-scenario", action="store_true",
+                         help="print the scenario encoding as JSON and exit")
     p_bound.add_argument("--exhaustive", action="store_true",
                          help="full deterministic-strategy search (n <= 4)")
     p_bound.add_argument("--threads", type=_positive_int, default=None,
@@ -223,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_seesaw = sub.add_parser("seesaw", help="variational maximization of beta")
     add_common(p_seesaw)
     p_seesaw.add_argument("--restarts", type=_positive_int, default=10)
-    p_seesaw.add_argument("--seed", type=int, default=0)
+    p_seesaw.add_argument("--seed", type=_nonnegative_int, default=0)
     p_seesaw.add_argument("--max-iterations", type=_positive_int, default=500)
     p_seesaw.add_argument("--tol", type=_positive_float, default=1e-7)
     p_seesaw.add_argument("--freeze-edges", action="store_true")
@@ -235,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert = sub.add_parser("certify", help="certificate report for a stored model")
     add_common(p_cert, with_n=False)
     p_cert.add_argument("--model", required=True, help="path to a model JSON file")
-    p_cert.add_argument("--tol", type=float, default=1e-7)
+    p_cert.add_argument("--tol", type=_positive_float, default=1e-7)
     p_cert.set_defaults(func=_cmd_certify)
 
     p_sweep = sub.add_parser("sweep", help="alpha vs ceiling across a range of n")

@@ -16,10 +16,11 @@ import math
 import numpy as np
 
 from .errors import CapacityError, ConstructionFailedError
-from .qcore import (PAULI_X, PAULI_Y, PAULI_Z, NetworkState, Observable, QuantumModel,
+from .qcore import (PAULI_X, PAULI_Y, PAULI_Z, BellChainState, Observable, QuantumModel,
                     CentralSweep, bell_chain_state, beta_quantum, close_chain,
                     default_layout, dichotomic_projection, jordan_wigner_set, kron_all,
-                    make_model, random_dichotomic, signed_sums, term_expectations)
+                    make_model, random_dichotomic, require_bell_chain, signed_sums,
+                    term_expectations)
 from .scenario import build_encoding
 from .soscert import condition_residuals, omega_values, tsirelson_ceiling
 
@@ -60,7 +61,7 @@ def _explicit_n3() -> QuantumModel:
     return make_model(3, edges, [bob1, bob2], edges)
 
 
-def fit_bob_observables(state: NetworkState, edge_observables,
+def fit_bob_observables(state: BellChainState, edge_observables,
                         sweeps: int = 400, extra_starts: int = 8):
     """Least-squares fit of per-party central observables to the zero conditions.
 
@@ -70,8 +71,10 @@ def fit_bob_observables(state: NetworkState, edge_observables,
     unit weights on the pre-scaled terms: every term keeps its left and right
     environments through the sweep, and the sweep's overlaps close the last
     left environments.  The per-term residuals are r_i = sqrt(2 - 2 overlap_i).
-    Returns (bobs, overlaps) for the best deterministic start.
+    Returns (bobs, overlaps) for the best deterministic start; any state other
+    than a Bell chain raises UnsupportedStateError.
     """
+    require_bell_chain(state)
     layout = state.layout
     n, d = layout.n, layout.link_dim
     table = build_encoding(n)
@@ -118,7 +121,7 @@ def fit_bob_observables(state: NetworkState, edge_observables,
     return best_bobs, overlaps(best_bobs)
 
 
-def solve_bob_condition(state: NetworkState, edge_observables,
+def solve_bob_condition(state: BellChainState, edge_observables,
                         tol: float = SOLVE_RESIDUAL_TOL):
     """Central observables satisfying every zero condition within ``tol``.
 

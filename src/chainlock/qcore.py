@@ -5,9 +5,14 @@ The contracted evaluator exploits that the state is a product of maximally
 entangled links: each link of local dimension d turns the expectation into a
 d x d matrix transfer, so a full (n+1)-party correlator costs a handful of
 d^4 contractions instead of anything exponential in the qubit count.
+
+A Bell chain is therefore held as its layout (``BellChainState``), and its
+amplitudes are built only when a dense route reads them; ``NetworkState``
+holds any other state by its explicit amplitudes.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -109,9 +114,10 @@ def default_layout(n: int, qubits_per_half: int | None = None) -> ChainLayout:
 
 @dataclass(frozen=True)
 class NetworkState:
+    """An arbitrary chain state given by its explicit amplitudes."""
+
     amplitudes: np.ndarray
     layout: ChainLayout
-    bell_links: bool = False  # set by bell_chain_state
 
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=complex)
@@ -123,24 +129,39 @@ class NetworkState:
         object.__setattr__(self, "amplitudes", amp)
 
 
-def bell_chain_state(n: int, qubits_per_half: int | None = None) -> NetworkState:
+@dataclass(frozen=True)
+class BellChainState:
+    """Product of m*n maximally entangled pairs, held as its layout.
+
+    The chain contraction needs nothing else.  The amplitudes are built on
+    first read, once per state, for the routes that apply operators to the
+    full state vector.
+    """
+
+    layout: ChainLayout
+
+    @functools.cached_property
+    def amplitudes(self) -> np.ndarray:
+        lay = self.layout
+        if lay.total_qubits > DENSE_QUBIT_LIMIT:
+            raise CapacityError(
+                f"dense state needs {lay.total_qubits} qubits, limit is {DENSE_QUBIT_LIMIT}")
+        source = np.eye(lay.link_dim, dtype=complex).reshape(-1) / math.sqrt(lay.link_dim)
+        amp = np.array([1.0], dtype=complex)  # vec(I)/sqrt(d) per source
+        for _ in range(lay.n):
+            amp = np.kron(amp, source)
+        amp.setflags(write=False)
+        return amp
+
+
+def bell_chain_state(n: int, qubits_per_half: int | None = None) -> BellChainState:
     """Product of m*n maximally entangled pairs arranged per ChainLayout."""
-    layout = default_layout(n, qubits_per_half)
-    if layout.total_qubits > DENSE_QUBIT_LIMIT:
-        raise CapacityError(
-            f"dense state needs {layout.total_qubits} qubits, limit is {DENSE_QUBIT_LIMIT}")
-    d = layout.link_dim
-    source = np.eye(d, dtype=complex).reshape(-1) / math.sqrt(d)  # vec(I)/sqrt(d)
-    amp = np.array([1.0], dtype=complex)
-    for _ in range(n):
-        amp = np.kron(amp, source)
-    return NetworkState(amplitudes=amp, layout=layout, bell_links=True)
+    return BellChainState(default_layout(n, qubits_per_half))
 
 
 @dataclass(frozen=True)
 class QuantumModel:
-    layout: ChainLayout
-    state: NetworkState
+    state: NetworkState | BellChainState
     alice: tuple[Observable, ...]
     bobs: tuple[tuple[Observable, Observable], ...]
     charlie: tuple[Observable, ...]
@@ -162,6 +183,10 @@ class QuantumModel:
                     raise ShapeError(f"central observable dim {o.dim} != {d * d}")
 
     @property
+    def layout(self) -> ChainLayout:
+        return self.state.layout
+
+    @property
     def n(self) -> int:
         return self.layout.n
 
@@ -169,10 +194,8 @@ class QuantumModel:
 def make_model(n: int, alice, bobs, charlie,
                qubits_per_half: int | None = None) -> QuantumModel:
     """Wrap raw matrices into a QuantumModel on the Bell chain."""
-    layout = default_layout(n, qubits_per_half)
     return QuantumModel(
-        layout=layout,
-        state=bell_chain_state(n, layout.qubits_per_half),
+        state=bell_chain_state(n, qubits_per_half),
         alice=tuple(Observable(a) for a in alice),
         bobs=tuple((Observable(p[0]), Observable(p[1])) for p in bobs),
         charlie=tuple(Observable(c) for c in charlie),
@@ -257,6 +280,24 @@ def correlator_dense(model: QuantumModel, x: int, bob_inputs, z: int) -> float:
     return _real_or_raise(np.vdot(amp, phi), "correlator")
 
 
+def term_vectors(model: QuantumModel, ya, yc):
+    """(B_i|psi>, (Y^A_i (x) Y^C_i)|psi>) for every term i, by statevector application.
+
+    B_i is the product of the central operators term i reads and Y^A_i, Y^C_i
+    are its signed edge sums, so J_i = <(Y^A_i (x) Y^C_i) psi | B_i psi>.
+    """
+    lay = model.layout
+    total = lay.total_qubits
+    amp = model.state.amplitudes
+    for i, row in enumerate(build_encoding(model.n).central):
+        phi_b = amp
+        for t, y in enumerate(row, start=1):
+            phi_b = apply_to_slot(phi_b, model.bobs[t - 1][y].matrix, *lay.bob_slot(t), total)
+        phi_t = apply_to_slot(amp, ya[i], *lay.alice_slot(), total)
+        phi_t = apply_to_slot(phi_t, yc[i], *lay.charlie_slot(), total)
+        yield phi_b, phi_t
+
+
 # ---------------------------------------------------------------------------
 # chain-contraction evaluator
 
@@ -281,16 +322,17 @@ def chain_expectation(a_mat: np.ndarray, bob_mats, c_mat: np.ndarray, d: int) ->
     return close_chain(left_environments(a_mat, bob_mats, d)[-1], c_mat, d, len(bob_mats) + 1)
 
 
-def _require_bell_links(model: QuantumModel):
-    if not model.state.bell_links:
+def require_bell_chain(state):
+    """Raise UnsupportedStateError unless chain contraction describes the state."""
+    if not isinstance(state, BellChainState):
         raise UnsupportedStateError(
-            "contracted evaluator requires a product-of-Bell-links state; "
+            "chain contraction requires a product-of-Bell-links state; "
             "use the dense evaluator for general states")
 
 
 def correlator_contracted(model: QuantumModel, x: int, bob_inputs, z: int) -> float:
     """Same contract as correlator_dense, evaluated by chain contraction."""
-    _require_bell_links(model)
+    require_bell_chain(model.state)
     n, d = model.n, model.layout.link_dim
     if not (1 <= x <= n and 1 <= z <= n):
         raise IndexError(f"edge inputs must lie in 1..{n}")
@@ -304,7 +346,7 @@ def correlator_contracted(model: QuantumModel, x: int, bob_inputs, z: int) -> fl
 
 def _resolve_evaluator(model: QuantumModel, evaluator: str) -> str:
     if evaluator == "auto":
-        if (model.state.bell_links
+        if (isinstance(model.state, BellChainState)
                 and model.layout.total_qubits > AUTO_DENSE_QUBIT_LIMIT):
             return "contracted"
         return "dense"
@@ -314,26 +356,21 @@ def _resolve_evaluator(model: QuantumModel, evaluator: str) -> str:
 
 
 def term_values(model: QuantumModel, evaluator: str = "auto") -> np.ndarray:
-    """J_i = sum_{x,z} signs[i,x] signs[i,z] E(x, central inputs of i, z) for every term."""
-    n = model.n
-    table = build_encoding(n)
+    """J_i = sum_{x,z} signs[i,x] signs[i,z] E(x, central inputs of i, z) for every term.
+
+    Both evaluators read J_i as <Y^A_i (x) B_i (x) Y^C_i>: the dense one as the
+    inner product of the two ``term_vectors``, the contracted one by chain
+    contraction.
+    """
+    ya, yc = edge_sums(model.n, model.alice, model.charlie)
     if _resolve_evaluator(model, evaluator) == "contracted":
-        _require_bell_links(model)
-        ya = signed_sums(table.signs, [o.matrix for o in model.alice])
-        yc = signed_sums(table.signs, [o.matrix for o in model.charlie])
+        require_bell_chain(model.state)
         bobs = [[o.matrix for o in pair] for pair in model.bobs]
-        values = term_expectations(ya, yc, bobs, table.central, model.layout.link_dim)
-        return np.array([_real_or_raise(v, f"term {i + 1}") for i, v in enumerate(values)])
-    js = np.empty(table.terms)
-    for i in range(table.terms):
-        combo = table.bob_inputs(i + 1)
-        s = table.signs[i]
-        total = 0.0
-        for x in range(1, n + 1):
-            for z in range(1, n + 1):
-                total += s[x - 1] * s[z - 1] * correlator_dense(model, x, combo, z)
-        js[i] = total
-    return js
+        values = term_expectations(ya, yc, bobs, build_encoding(model.n).central,
+                                   model.layout.link_dim)
+    else:
+        values = [np.vdot(phi_t, phi_b) for phi_b, phi_t in term_vectors(model, ya, yc)]
+    return np.array([_real_or_raise(v, f"term {i + 1}") for i, v in enumerate(values)])
 
 
 def beta_quantum(model: QuantumModel,
@@ -386,6 +423,14 @@ def open_slot(left_env: np.ndarray, right_env: np.ndarray, d: int, n: int) -> np
 def signed_sums(signs: np.ndarray, mats) -> list[np.ndarray]:
     """Y_i = sum_x signs[i, x] M_x for every term: the signed edge combinations."""
     return [sum(s[x] * mats[x] for x in range(len(mats))) for s in signs]
+
+
+def edge_sums(n: int, alice, charlie) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """(Y^A_i, Y^C_i) for every term i from the edge observables or their matrices."""
+    signs = build_encoding(n).signs
+    mats = [[o.matrix if isinstance(o, Observable) else o for o in ops]
+            for ops in (alice, charlie)]
+    return signed_sums(signs, mats[0]), signed_sums(signs, mats[1])
 
 
 def term_expectations(lefts, rights, bobs, central, d: int) -> list[complex]:
@@ -487,7 +532,7 @@ def random_dichotomic(dim: int, rng: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # reduced states and serialization
 
-def reduced_density(state: NetworkState, start: int, count: int) -> np.ndarray:
+def reduced_density(state: NetworkState | BellChainState, start: int, count: int) -> np.ndarray:
     """Reduced density matrix on the contiguous qubit block [start, start+count)."""
     total = state.layout.total_qubits
     pre, dim, post = 2 ** start, 2 ** count, 2 ** (total - start - count)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qcore import (CentralSweep, QuantumModel, close_chain, default_layout,
-                    dichotomic_projection, edge_slot_matrix, left_environments,
+                    dichotomic_projection, edge_slot_matrix, edge_sums, left_environments,
                     make_model, random_dichotomic, signed_sums, term_expectations)
 from .scenario import build_encoding
 
@@ -98,12 +98,8 @@ class _Workspace:
                           qubits_per_half=self.m)
 
 
-def _edge_sums(ws: _Workspace, table):
-    return signed_sums(table.signs, ws.alice), signed_sums(table.signs, ws.charlie)
-
-
 def _beta_of(ws: _Workspace, table):
-    ya, yc = _edge_sums(ws, table)
+    ya, yc = edge_sums(ws.n, ws.alice, ws.charlie)
     js = np.array([v.real for v in term_expectations(ya, yc, ws.bobs, table.central, ws.d)])
     return float(np.sum(np.sqrt(np.abs(js)))), js
 
@@ -135,7 +131,7 @@ def _sweep(ws: _Workspace, table, beta: float, js: np.ndarray,
             w += c[i] * table.signs[i][x] * slots[i]
         return w
 
-    ya, yc = _edge_sums(ws, table)  # the edge sums stay fixed while central slots move
+    ya, yc = edge_sums(n, ws.alice, ws.charlie)  # fixed while the central slots move
     sweep = CentralSweep(ya, yc, ws.bobs, central, d)
     for t in range(n - 1):
         for yv in range(2):

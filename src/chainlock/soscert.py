@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCertificateError
-from .qcore import (QuantumModel, anticommutator_report, apply_to_slot, beta_quantum,
-                    reduced_density, signed_sums)
-from .scenario import build_encoding
+from .qcore import (QuantumModel, anticommutator_report, beta_quantum, edge_sums,
+                    reduced_density, term_vectors)
 
 CERTIFICATE_TOL = 1e-7
 DEGENERATE_TOL = 1e-12
@@ -60,15 +59,9 @@ def tsirelson_ceiling(n: int) -> float:
     return 2 ** (n - 1) * math.sqrt(n)
 
 
-def _edge_sums(model: QuantumModel):
-    signs = build_encoding(model.n).signs
-    return (signed_sums(signs, [o.matrix for o in model.alice]),
-            signed_sums(signs, [o.matrix for o in model.charlie]))
-
-
 def omega_values(model: QuantumModel) -> tuple[list[float], list[float]]:
     """omega^A_i = ||Y^A_i |psi>|| and omega^C_i likewise, via reduced states."""
-    ya, yc = _edge_sums(model)
+    ya, yc = edge_sums(model.n, model.alice, model.charlie)
     rho_a = reduced_density(model.state, *model.layout.alice_slot())
     rho_c = reduced_density(model.state, *model.layout.charlie_slot())
     omega_a = [math.sqrt(max(0.0, float(np.trace(rho_a @ (y @ y)).real))) for y in ya]
@@ -83,24 +76,14 @@ def omega_values(model: QuantumModel) -> tuple[list[float], list[float]]:
 
 def condition_residuals(model: QuantumModel) -> list[float]:
     """|| B_i|psi> - (Y^A_i (x) Y^C_i / omega_i)|psi> || for every term, dense."""
-    n, lay = model.n, model.layout
     omega_a, omega_c = omega_values(model)
-    ya, yc = _edge_sums(model)
-    central = build_encoding(n).central
-    amp = model.state.amplitudes
-    total = lay.total_qubits
+    ya, yc = edge_sums(model.n, model.alice, model.charlie)
     out = []
-    for i in range(2 ** (n - 1)):
+    for i, (phi_b, phi_t) in enumerate(term_vectors(model, ya, yc)):
         omega = omega_a[i] * omega_c[i]
         if omega <= DEGENERATE_TOL:
             raise DegenerateCertificateError(
                 f"term {i + 1}: signed edge combination annihilates the state")
-        phi_b = amp
-        for t, y in enumerate(central[i], start=1):
-            phi_b = apply_to_slot(phi_b, model.bobs[t - 1][y].matrix,
-                                  *lay.bob_slot(t), total)
-        phi_t = apply_to_slot(amp, ya[i], *lay.alice_slot(), total)
-        phi_t = apply_to_slot(phi_t, yc[i], *lay.charlie_slot(), total)
         out.append(float(np.linalg.norm(phi_b - phi_t / omega)))
     return out
 

@@ -88,6 +88,10 @@ def test_certify_roundtrip(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "certify", "--model", str(path))
     assert code == 0
     assert json.loads(out)["certified"] is True
+    for tol in ("-1", "0", "nan"):
+        code, out, _ = run_cli(capsys, "certify", "--model", str(path), "--tol", tol)
+        assert code == 2
+        assert out == ""
 
 
 def test_certify_uncertified_model_exits_1(tmp_path, capsys):
@@ -164,9 +168,12 @@ def test_threads_env_fallback(capsys, monkeypatch):
     ["seesaw", "--n", "2", "--threads", "1"],
     ["certify", "--model", "model.json", "--threads", "1"],
     ["quantum", "--n", "2", "--construction", "jw"],
+    ["quantum", "--n", "2", "--dump-scenario"],
+    ["seesaw", "--n", "2", "--dump-scenario"],
 ])
 def test_removed_options_are_usage_errors(capsys, argv):
-    # --threads belongs to bound alone, and quantum has no --construction
+    # --threads and --dump-scenario belong to bound alone, and quantum has no
+    # --construction
     code, _, _ = run_cli(capsys, *argv)
     assert code == 2
 
@@ -182,3 +189,19 @@ def test_nonpositive_numbers_are_usage_errors(capsys, command, option, value):
     code, out, _ = run_cli(capsys, command, "--n", "2", option, value)
     assert code == 2
     assert out == ""
+
+
+def test_negative_seed_is_usage_error(capsys):
+    code, out, _ = run_cli(capsys, "seesaw", "--n", "2", "--seed", "-3")
+    assert code == 2
+    assert out == ""
+
+
+def test_seesaw_beyond_dense_limit(capsys):
+    # n=6 on the default layout is 36 qubits; the seesaw only contracts
+    code, out, _ = run_cli(capsys, "seesaw", "--n", "6", "--restarts", "1",
+                           "--max-iterations", "1")
+    assert code == 0
+    data = json.loads(out)
+    assert data["best_model"]["qubits_per_half"] == 3
+    assert len(data["trace"]) == 2

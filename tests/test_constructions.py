@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from chainlock.constructions import fit_bob_observables, optimal_model, solve_bob_condition
-from chainlock.errors import CapacityError, ConstructionFailedError
-from chainlock.qcore import (PAULI_X, PAULI_Z, bell_chain_state, beta_quantum,
+from chainlock.errors import CapacityError, ConstructionFailedError, UnsupportedStateError
+from chainlock.qcore import (PAULI_X, PAULI_Z, NetworkState, bell_chain_state, beta_quantum,
                              jordan_wigner_set, kron_all)
 from chainlock.soscert import tsirelson_ceiling
 
@@ -97,6 +97,21 @@ def test_fit_overlap_constant(n, overlap):
     edges = [o.matrix for o in jordan_wigner_set(n)]
     _, overlaps = fit_bob_observables(bell_chain_state(n), edges)
     assert overlaps == pytest.approx([overlap] * 2 ** (n - 1), abs=1e-7)
+
+
+def test_fit_rejects_non_bell_states():
+    # the fit contracts the chain, so it describes Bell chains only
+    a1 = (PAULI_Z + PAULI_X) / SQ2
+    a2 = (PAULI_Z - PAULI_X) / SQ2
+    layout = bell_chain_state(2).layout
+    product = np.zeros(16, dtype=complex)
+    product[0] = 1.0
+    for state in (NetworkState(product, layout),
+                  NetworkState(bell_chain_state(2).amplitudes, layout)):
+        with pytest.raises(UnsupportedStateError):
+            fit_bob_observables(state, [a1, a2])
+        with pytest.raises(UnsupportedStateError):
+            solve_bob_condition(state, [a1, a2])
 
 
 def test_fit_rejects_wrong_edge_count():

@@ -86,7 +86,7 @@ def test_bell_chain_n4_link_schmidt_rank():
 
 def test_bell_chain_capacity():
     with pytest.raises(CapacityError):
-        bell_chain_state(7)  # 2*3*7 = 42 qubits
+        bell_chain_state(7).amplitudes  # 2*3*7 = 42 qubits
 
 
 def test_jordan_wigner_small_sets():
@@ -181,12 +181,77 @@ def test_contracted_requires_bell_links():
     amp = np.zeros(16, dtype=complex)
     amp[0] = 1.0
     product_state = NetworkState(amplitudes=amp, layout=model.layout)
-    broken = type(model)(layout=model.layout, state=product_state, alice=model.alice,
+    broken = type(model)(state=product_state, alice=model.alice,
                          bobs=model.bobs, charlie=model.charlie)
     with pytest.raises(UnsupportedStateError):
         correlator_contracted(broken, 1, (1,), 1)
+    with pytest.raises(UnsupportedStateError):
+        beta_quantum(broken, evaluator="contracted")
     # dense path still works on arbitrary states
     correlator_dense(broken, 1, (1,), 1)
+    # only the state's type says it is a Bell chain: explicit Bell amplitudes
+    # are a general state, and no flag can mark a product state as one
+    explicit = type(model)(state=NetworkState(model.state.amplitudes, model.layout),
+                           alice=model.alice, bobs=model.bobs, charlie=model.charlie)
+    with pytest.raises(UnsupportedStateError):
+        beta_quantum(explicit, evaluator="contracted")
+    assert beta_quantum(explicit) == beta_quantum(model, evaluator="dense")
+    with pytest.raises(TypeError):
+        NetworkState(amplitudes=amp, layout=model.layout, bell_links=True)
+
+
+def test_layout_is_read_from_the_state():
+    model = zz_xx_model()
+    assert model.layout is model.state.layout
+    with pytest.raises(TypeError):
+        type(model)(layout=model.layout, state=model.state, alice=model.alice,
+                    bobs=model.bobs, charlie=model.charlie)
+    with pytest.raises(ShapeError):  # n=2 observables on an n=3 chain
+        type(model)(state=bell_chain_state(3), alice=model.alice, bobs=model.bobs,
+                    charlie=model.charlie)
+
+
+def test_bell_chain_amplitudes_built_once_on_read():
+    st = bell_chain_state(3)
+    assert "amplitudes" not in vars(st)
+    amp = st.amplitudes
+    assert st.amplitudes is amp
+    assert not amp.flags.writeable
+
+
+def test_structural_chain_beyond_dense_limit():
+    # n=6 on the default layout is 36 qubits: everything that contracts the
+    # chain works, and only the routes that read amplitudes hit the limit
+    from chainlock.qcore import term_values
+    from chainlock.seesaw import random_model
+    from chainlock.soscert import certify
+    model = random_model(6, seed=1)
+    assert model.layout.total_qubits == 36
+    beta, terms = beta_quantum(model)
+    assert len(terms) == 32 and 0 < beta <= 32 * np.sqrt(6)
+    assert beta_quantum(model, evaluator="contracted") == (beta, terms)
+    assert "amplitudes" not in vars(model.state)
+    with pytest.raises(CapacityError, match="36 qubits"):
+        term_values(model, evaluator="dense")
+    with pytest.raises(CapacityError, match="36 qubits"):
+        certify(model)
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (3, 1), (3, 2), (4, 1)])
+def test_dense_term_values_match_correlator_sums(n, m):
+    # the per-term kernel against the n^2 correlators it replaces, and
+    # against the contracted evaluator
+    from chainlock.qcore import term_values
+    from chainlock.scenario import build_encoding
+    model = random_model_mats(n, m, np.random.default_rng(700 + 10 * n + m))
+    table = build_encoding(n)
+    want = [sum(s[x - 1] * s[z - 1] * correlator_dense(model, x, table.bob_inputs(i + 1), z)
+                for x in range(1, n + 1) for z in range(1, n + 1))
+            for i, s in enumerate(table.signs)]
+    dense = term_values(model, evaluator="dense")
+    assert np.max(np.abs(dense - want)) < 1e-12
+    assert np.max(np.abs(dense - term_values(model, evaluator="contracted"))) < 1e-9
+    assert "amplitudes" in vars(model.state)
 
 
 def test_beta_invariant_under_local_unitary():
@@ -201,7 +266,7 @@ def test_beta_invariant_under_local_unitary():
     rotated_state = NetworkState(amplitudes=amp, layout=model.layout)
     rotated = make_model(3, rotated_alice, [[o.matrix for o in p] for p in model.bobs],
                          [c.matrix for c in model.charlie], qubits_per_half=1)
-    rotated = type(model)(layout=rotated.layout, state=rotated_state,
+    rotated = type(model)(state=rotated_state,
                           alice=rotated.alice, bobs=rotated.bobs, charlie=rotated.charlie)
     got, _ = beta_quantum(rotated, evaluator="dense")
     assert got == pytest.approx(base, abs=1e-9)
@@ -403,8 +468,7 @@ def test_beta_invariant_under_local_unitary_on_central_slot():
                         model.layout.total_qubits)
     rotated = make_model(3, [a.matrix for a in model.alice], rotated_bobs,
                          [c.matrix for c in model.charlie], qubits_per_half=1)
-    rotated = type(model)(layout=rotated.layout,
-                          state=NetworkState(amplitudes=amp, layout=model.layout),
+    rotated = type(model)(state=NetworkState(amplitudes=amp, layout=model.layout),
                           alice=rotated.alice, bobs=rotated.bobs,
                           charlie=rotated.charlie)
     got, _ = beta_quantum(rotated, evaluator="dense")
