@@ -21,7 +21,7 @@ from .qcore import (BellChainState, ChainLayout, NetworkState, Observable, Quant
                     anticommutator_report, bell_chain_state, beta_quantum,
                     correlator_contracted, correlator_dense, jordan_wigner_set,
                     make_model, model_from_json_dict, model_to_json_dict)
-from .constructions import fit_bob_observables, optimal_model, solve_bob_condition
+from .constructions import fit_bob_observables, optimal_model
 from .seesaw import SeesawConfig, SeesawReport, random_model, seesaw_optimize
 from .soscert import CertificateReport, certify, omega_values, tsirelson_ceiling
 
@@ -38,7 +38,7 @@ __all__ = [
     "anticommutator_report", "bell_chain_state", "beta_quantum",
     "correlator_contracted", "correlator_dense", "jordan_wigner_set",
     "make_model", "model_from_json_dict", "model_to_json_dict",
-    "fit_bob_observables", "optimal_model", "solve_bob_condition",
+    "fit_bob_observables", "optimal_model",
     "SeesawConfig", "SeesawReport", "random_model", "seesaw_optimize",
     "CertificateReport", "certify", "omega_values", "tsirelson_ceiling",
 ]

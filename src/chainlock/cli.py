@@ -12,9 +12,9 @@ import os
 import sys
 
 from .constructions import optimal_model
-from .errors import ChainlockError, ConstructionFailedError
+from .errors import CapacityError, ChainlockError, ConstructionFailedError
 from .nlocal import bound_report, lhv_exhaustive_max
-from .qcore import QuantumModel, beta_quantum, model_from_json_dict, model_to_json_dict
+from .qcore import beta_quantum, model_from_json_dict, model_to_json_dict
 from .scenario import scenario_to_json_dict
 from .seesaw import SeesawConfig, seesaw_optimize
 from .soscert import certify, condition_residuals, tsirelson_ceiling
@@ -89,25 +89,17 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_quantum(args) -> int:
-    expected = tsirelson_ceiling(args.n)
     try:
         model = optimal_model(args.n, qubits_per_half=args.pairs_per_source)
     except ConstructionFailedError as err:
-        payload = {
-            "n": args.n,
-            "beta": err.beta,
-            "expected": err.expected if err.expected else expected,
-            "residuals": list(err.residuals or []),
-            "error": str(err),
-        }
-        if isinstance(err.model, QuantumModel):
-            _, payload["terms"] = beta_quantum(err.model, evaluator=args.evaluator)
-        _emit(payload, args.out)
+        _, terms = beta_quantum(err.model)
+        _emit({"n": args.n, "beta": err.beta, "expected": err.expected,
+               "residuals": err.residuals, "error": str(err), "terms": terms}, args.out)
         return COMPUTE_ERROR
-    beta, terms = beta_quantum(model, evaluator=args.evaluator)
+    beta, terms = beta_quantum(model)
     residuals = condition_residuals(model)
-    payload = {"n": args.n, "beta": beta, "expected": expected, "terms": terms,
-               "residuals": residuals}
+    payload = {"n": args.n, "beta": beta, "expected": tsirelson_ceiling(args.n),
+               "terms": terms, "residuals": residuals}
     if args.dump_model:
         payload["model"] = model_to_json_dict(model)
     _emit(payload, args.out)
@@ -141,7 +133,6 @@ def _cmd_certify(args) -> int:
 
 
 SWEEP_HEADER = "n,alpha,beta_opt,ratio,beta_constructed,certified"
-SWEEP_QUANTUM_MAX_N = 5
 
 
 def sweep_rows(n_min: int, n_max: int) -> list[dict]:
@@ -153,14 +144,16 @@ def sweep_rows(n_min: int, n_max: int) -> list[dict]:
         ceiling = tsirelson_ceiling(n)
         row = {"n": n, "alpha": alpha, "beta_opt": ceiling,
                "ratio": ceiling / alpha, "beta_constructed": None, "certified": None}
-        if n <= SWEEP_QUANTUM_MAX_N:
-            try:
-                model = optimal_model(n)
-                row["beta_constructed"], _ = beta_quantum(model)
-                row["certified"] = certify(model).certified
-            except ConstructionFailedError as err:
-                row["beta_constructed"] = err.beta
-                row["certified"] = False
+        try:
+            model = optimal_model(n)
+        except CapacityError:  # no construction for this n
+            pass
+        except ConstructionFailedError as err:
+            row["beta_constructed"] = err.beta
+            row["certified"] = False
+        else:
+            row["beta_constructed"], _ = beta_quantum(model)
+            row["certified"] = certify(model).certified
         rows.append(row)
     return rows
 
@@ -210,8 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_quantum = sub.add_parser("quantum", help="explicit quantum model for the ceiling")
     add_common(p_quantum)
-    p_quantum.add_argument("--evaluator", choices=["dense", "contracted", "auto"],
-                           default="auto")
     p_quantum.add_argument("--pairs-per-source", type=_positive_int, default=None)
     p_quantum.add_argument("--dump-model", action="store_true",
                            help="include the model matrices in the output")

@@ -1,4 +1,4 @@
-"""Explicit models targeting the quantum ceiling, and the condition solver.
+"""Explicit models targeting the quantum ceiling, and the condition fitter.
 
 The two-source construction attains the ceiling 2 sqrt(2) exactly.  For three
 or more sources the zero-residual conditions B_i|psi> = (Y^A_i (x) Y^C_i /
@@ -26,6 +26,8 @@ from .soscert import condition_residuals, omega_values, tsirelson_ceiling
 
 SOLVE_RESIDUAL_TOL = 1e-8
 SUPPORTED_N = (2, 3, 4, 5)
+FIT_SWEEPS = 400
+FIT_EXTRA_STARTS = 8  # seeded random starts after the identity start
 
 
 def _explicit_n2() -> QuantumModel:
@@ -61,8 +63,7 @@ def _explicit_n3() -> QuantumModel:
     return make_model(3, edges, [bob1, bob2], edges)
 
 
-def fit_bob_observables(state: BellChainState, edge_observables,
-                        sweeps: int = 400, extra_starts: int = 8):
+def fit_bob_observables(state: BellChainState, edge_observables):
     """Least-squares fit of per-party central observables to the zero conditions.
 
     Maximizes sum_i <psi| T_i B_i |psi> with T_i = (Y^A_i (x) Y^C_i)/omega_i
@@ -95,7 +96,7 @@ def fit_bob_observables(state: BellChainState, edge_observables,
 
     def sweep_to_convergence(bobs):
         prev = overlaps(bobs).sum()
-        for _ in range(sweeps):
+        for _ in range(FIT_SWEEPS):
             sweep = CentralSweep(lefts, ys, bobs, table.central, d)
             for t in range(n - 1):
                 for yv in range(2):
@@ -109,7 +110,7 @@ def fit_bob_observables(state: BellChainState, edge_observables,
         return bobs, prev
 
     starts = [[[np.eye(d * d, dtype=complex) for _ in range(2)] for _ in range(n - 1)]]
-    for s in range(extra_starts):
+    for s in range(FIT_EXTRA_STARTS):
         rng = np.random.default_rng(1000 + s)
         starts.append([[random_dichotomic(d * d, rng) for _ in range(2)]
                        for _ in range(n - 1)])
@@ -119,23 +120,6 @@ def fit_bob_observables(state: BellChainState, edge_observables,
         if total > best_total + 1e-12:
             best_bobs, best_total = bobs, total
     return best_bobs, overlaps(best_bobs)
-
-
-def solve_bob_condition(state: BellChainState, edge_observables,
-                        tol: float = SOLVE_RESIDUAL_TOL):
-    """Central observables satisfying every zero condition within ``tol``.
-
-    Raises ConstructionFailedError with the best-fit observables and their
-    residuals when the conditions cannot be met (any n >= 3).
-    """
-    bobs, overlaps = fit_bob_observables(state, edge_observables)
-    residuals = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * overlaps))
-    if float(np.max(residuals)) >= tol:
-        raise ConstructionFailedError(
-            f"zero conditions not satisfiable: max residual "
-            f"{float(np.max(residuals)):.6f} (best overlaps {np.round(overlaps, 6).tolist()})",
-            model=bobs, residuals=[float(r) for r in residuals])
-    return bobs
 
 
 def optimal_model(n: int, qubits_per_half: int | None = None) -> QuantumModel:
@@ -172,22 +156,18 @@ def optimal_model(n: int, qubits_per_half: int | None = None) -> QuantumModel:
     if edges[0].shape[0] != layout.link_dim:
         pad = layout.link_dim // edges[0].shape[0]
         edges = [np.kron(e, np.eye(pad)) for e in edges]
-    try:
-        bobs = solve_bob_condition(state, edges)
-    except ConstructionFailedError as err:
-        model = make_model(n, edges, err.model, edges,
-                           qubits_per_half=layout.qubits_per_half)
-        beta, _ = beta_quantum(model)
+    bobs, overlaps = fit_bob_observables(state, edges)
+    residuals = [float(r) for r in np.sqrt(np.maximum(0.0, 2.0 - 2.0 * overlaps))]
+    model = make_model(n, edges, bobs, edges, qubits_per_half=layout.qubits_per_half)
+    beta, _ = beta_quantum(model)
+    if max(residuals) >= SOLVE_RESIDUAL_TOL:
         raise ConstructionFailedError(
             f"n={n}: zero conditions are inconsistent; least-squares model "
             f"reaches beta = {beta:.9f} < {expected:.9f} with max residual "
-            f"{max(err.residuals):.6f}",
-            model=model, residuals=err.residuals, beta=beta, expected=expected,
-        ) from None
-    model = make_model(n, edges, bobs, edges, qubits_per_half=layout.qubits_per_half)
-    beta, _ = beta_quantum(model)
+            f"{max(residuals):.6f}",
+            model=model, residuals=residuals, beta=beta, expected=expected)
     if abs(beta - expected) > 1e-6:
         raise ConstructionFailedError(
             f"n={n}: solved conditions but beta = {beta} misses {expected}",
-            model=model, beta=beta, expected=expected)
+            model=model, residuals=residuals, beta=beta, expected=expected)
     return model

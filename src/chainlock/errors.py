@@ -23,13 +23,14 @@ class NumericalConsistencyError(ChainlockError):
 
 
 class ConstructionFailedError(ChainlockError):
-    """An optimality-condition solve did not reach the required residual.
+    """A construction was built and measured but does not attain the ceiling.
 
-    Carries the best model found and its diagnostics so callers can inspect
-    how far from the target the construction landed.
+    ``model`` is the measured ``QuantumModel``, ``residuals`` its per-term
+    zero-condition residuals, ``beta`` its value and ``expected`` the ceiling
+    it was built for.
     """
 
-    def __init__(self, message, model=None, residuals=None, beta=None, expected=None):
+    def __init__(self, message, *, model, residuals, beta, expected):
         super().__init__(message)
         self.model = model
         self.residuals = residuals

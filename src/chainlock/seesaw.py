@@ -59,17 +59,15 @@ class SeesawReport:
     converged: bool
     restart_betas: tuple[float, ...]
 
-    def to_json_dict(self, include_model: bool = True) -> dict:
+    def to_json_dict(self) -> dict:
         from .qcore import model_to_json_dict
-        out = {
+        return {
             "best_beta": self.best_beta,
             "converged": self.converged,
             "restart_betas": list(self.restart_betas),
             "trace": [list(t) for t in self.trace],
+            "best_model": model_to_json_dict(self.best_model),
         }
-        if include_model:
-            out["best_model"] = model_to_json_dict(self.best_model)
-        return out
 
 
 def random_model(n: int, seed: int, qubits_per_half: int | None = None) -> QuantumModel:

@@ -59,9 +59,8 @@ def tsirelson_ceiling(n: int) -> float:
     return 2 ** (n - 1) * math.sqrt(n)
 
 
-def omega_values(model: QuantumModel) -> tuple[list[float], list[float]]:
-    """omega^A_i = ||Y^A_i |psi>|| and omega^C_i likewise, via reduced states."""
-    ya, yc = edge_sums(model.n, model.alice, model.charlie)
+def _omegas(model: QuantumModel, ya, yc) -> tuple[list[float], list[float]]:
+    """State norms of the given edge sums; warns for each one that vanishes."""
     rho_a = reduced_density(model.state, *model.layout.alice_slot())
     rho_c = reduced_density(model.state, *model.layout.charlie_slot())
     omega_a = [math.sqrt(max(0.0, float(np.trace(rho_a @ (y @ y)).real))) for y in ya]
@@ -70,14 +69,16 @@ def omega_values(model: QuantumModel) -> tuple[list[float], list[float]]:
         for i, v in enumerate(values):
             if v <= DEGENERATE_TOL:
                 warnings.warn(f"omega^{label}_{i + 1} vanishes: signed edge "
-                              f"combination annihilates the state", stacklevel=2)
+                              f"combination annihilates the state", stacklevel=3)
     return omega_a, omega_c
 
 
-def condition_residuals(model: QuantumModel) -> list[float]:
-    """|| B_i|psi> - (Y^A_i (x) Y^C_i / omega_i)|psi> || for every term, dense."""
-    omega_a, omega_c = omega_values(model)
-    ya, yc = edge_sums(model.n, model.alice, model.charlie)
+def omega_values(model: QuantumModel) -> tuple[list[float], list[float]]:
+    """omega^A_i = ||Y^A_i |psi>|| and omega^C_i likewise, via reduced states."""
+    return _omegas(model, *edge_sums(model.n, model.alice, model.charlie))
+
+
+def _residuals(model: QuantumModel, ya, yc, omega_a, omega_c) -> list[float]:
     out = []
     for i, (phi_b, phi_t) in enumerate(term_vectors(model, ya, yc)):
         omega = omega_a[i] * omega_c[i]
@@ -88,13 +89,20 @@ def condition_residuals(model: QuantumModel) -> list[float]:
     return out
 
 
+def condition_residuals(model: QuantumModel) -> list[float]:
+    """|| B_i|psi> - (Y^A_i (x) Y^C_i / omega_i)|psi> || for every term, dense."""
+    ya, yc = edge_sums(model.n, model.alice, model.charlie)
+    return _residuals(model, ya, yc, *_omegas(model, ya, yc))
+
+
 def certify(model: QuantumModel, tol: float = CERTIFICATE_TOL) -> CertificateReport:
     """Full certificate: omega values, tau, beta, gap, residuals, anticommutators."""
     n = model.n
-    omega_a, omega_c = omega_values(model)
+    ya, yc = edge_sums(n, model.alice, model.charlie)
+    omega_a, omega_c = _omegas(model, ya, yc)
     tau = sum(math.sqrt(a * c) for a, c in zip(omega_a, omega_c))
     beta, _ = beta_quantum(model)
-    residuals = condition_residuals(model)
+    residuals = _residuals(model, ya, yc, omega_a, omega_c)
     rep_a = anticommutator_report(model.alice)
     rep_c = anticommutator_report(model.charlie)
     off_a = rep_a - np.diag(np.diag(rep_a))

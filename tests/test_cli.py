@@ -170,10 +170,11 @@ def test_threads_env_fallback(capsys, monkeypatch):
     ["quantum", "--n", "2", "--construction", "jw"],
     ["quantum", "--n", "2", "--dump-scenario"],
     ["seesaw", "--n", "2", "--dump-scenario"],
+    ["quantum", "--n", "2", "--evaluator", "dense"],
 ])
 def test_removed_options_are_usage_errors(capsys, argv):
     # --threads and --dump-scenario belong to bound alone, and quantum has no
-    # --construction
+    # --construction or --evaluator
     code, _, _ = run_cli(capsys, *argv)
     assert code == 2
 

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from chainlock.constructions import fit_bob_observables, optimal_model, solve_bob_condition
+from chainlock.constructions import fit_bob_observables, optimal_model
 from chainlock.errors import CapacityError, ConstructionFailedError, UnsupportedStateError
-from chainlock.qcore import (PAULI_X, PAULI_Z, NetworkState, bell_chain_state, beta_quantum,
-                             jordan_wigner_set, kron_all)
+from chainlock.qcore import (PAULI_X, PAULI_Z, NetworkState, QuantumModel, bell_chain_state,
+                             beta_quantum, jordan_wigner_set, kron_all)
 from chainlock.soscert import tsirelson_ceiling
 
 SQ2 = math.sqrt(2)
@@ -40,6 +40,7 @@ def test_optimal_model_n3_reports_obstruction():
     with pytest.raises(ConstructionFailedError) as exc:
         optimal_model(3)
     err = exc.value
+    assert isinstance(err.model, QuantumModel)
     assert err.expected == pytest.approx(tsirelson_ceiling(3))
     # closest product-Pauli model: every term exactly 2, beta = 4 sqrt(2)
     assert err.beta == pytest.approx(4 * SQ2, abs=1e-9)
@@ -54,6 +55,7 @@ def test_optimal_model_solve_route_reports_obstruction(n, overlap):
     with pytest.raises(ConstructionFailedError) as exc:
         optimal_model(n)
     err = exc.value
+    assert isinstance(err.model, QuantumModel)
     # least-squares overlap settles at 2/n, so beta = 2^(n-1) sqrt(2)
     assert err.beta == pytest.approx(2 ** (n - 1) * SQ2, abs=1e-6)
     expected_res = math.sqrt(2 - 2 * overlap)
@@ -75,20 +77,24 @@ def test_optimal_model_n3_two_pairs_still_obstructed():
         optimal_model(3, qubits_per_half=2)
 
 
-def test_solve_recovers_n2_bobs():
+def _fit_residuals(overlaps):
+    return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * overlaps))
+
+
+def test_fit_recovers_n2_bobs():
     a1 = (PAULI_Z + PAULI_X) / SQ2
     a2 = (PAULI_Z - PAULI_X) / SQ2
-    bobs = solve_bob_condition(bell_chain_state(2), [a1, a2])
+    bobs, overlaps = fit_bob_observables(bell_chain_state(2), [a1, a2])
+    assert max(_fit_residuals(overlaps)) < 1e-8
     zz, xx = kron_all(PAULI_Z, PAULI_Z), kron_all(PAULI_X, PAULI_X)
     for got, want in zip(bobs[0], (zz, xx)):
         assert min(np.linalg.norm(got - want), np.linalg.norm(got + want)) < 1e-8
 
 
-def test_solve_raises_for_n3():
+def test_fit_misses_n3_conditions():
     edges = [o.matrix for o in jordan_wigner_set(3)]
-    with pytest.raises(ConstructionFailedError) as exc:
-        solve_bob_condition(bell_chain_state(3), edges)
-    assert max(exc.value.residuals) > 0.5
+    _, overlaps = fit_bob_observables(bell_chain_state(3), edges)
+    assert max(_fit_residuals(overlaps)) > 0.5
 
 
 @pytest.mark.parametrize("n,overlap", [(3, 2 / 3), (4, 0.5), (5, 0.4)])
@@ -110,8 +116,6 @@ def test_fit_rejects_non_bell_states():
                   NetworkState(bell_chain_state(2).amplitudes, layout)):
         with pytest.raises(UnsupportedStateError):
             fit_bob_observables(state, [a1, a2])
-        with pytest.raises(UnsupportedStateError):
-            solve_bob_condition(state, [a1, a2])
 
 
 def test_fit_rejects_wrong_edge_count():

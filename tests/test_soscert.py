@@ -37,6 +37,16 @@ def test_omega_degenerate_direction():
         certify(model)
 
 
+def test_certify_warns_once_per_vanishing_omega():
+    # omega^A_2 and omega^C_2 vanish; certify measures each omega once
+    model = make_model(2, [PAULI_Z, PAULI_Z], [[kron_all(PAULI_Z, PAULI_Z)] * 2],
+                       [PAULI_Z, PAULI_Z])
+    with pytest.warns(UserWarning, match="vanishes") as record:
+        with pytest.raises(DegenerateCertificateError):
+            certify(model)
+    assert len(record) == 2
+
+
 def test_certify_optimal_n2():
     rep = certify(optimal_model(2))
     assert rep.certified
