@@ -1,8 +1,8 @@
 """Command-line front end: reproducible experiments with JSON/CSV output.
 
 Exit codes: 0 success, 1 computation failure (failed construction, failed
-certification, unmet --require-certified), 2 usage error.  Errors print as
-single-line JSON objects on stderr.
+certification, unmet --require-certified, failed allocation), 2 usage error.
+Errors print as single-line JSON objects on stderr.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import sys
 
 from .constructions import optimal_model
 from .errors import CapacityError, ChainlockError, ConstructionFailedError
-from .nlocal import bound_report, lhv_exhaustive_max
+from .nlocal import alpha_closed_form, bound_report, lhv_exhaustive_max
 from .qcore import beta_quantum, model_from_json_dict, model_to_json_dict
 from .scenario import scenario_to_json_dict
 from .seesaw import SeesawConfig, seesaw_optimize
@@ -137,7 +137,6 @@ SWEEP_HEADER = "n,alpha,beta_opt,ratio,beta_constructed,certified"
 
 def sweep_rows(n_min: int, n_max: int) -> list[dict]:
     """One row per n: classical bound, quantum ceiling, and constructed value."""
-    from .nlocal import alpha_closed_form
     rows = []
     for n in range(n_min, n_max + 1):
         alpha = alpha_closed_form(n)
@@ -156,6 +155,32 @@ def sweep_rows(n_min: int, n_max: int) -> list[dict]:
             row["certified"] = certify(model).certified
         rows.append(row)
     return rows
+
+
+def _sweep_row_fits(n: int) -> bool:
+    """Whether the ceiling and its ratio to alpha at n are finite floats."""
+    try:
+        tsirelson_ceiling(n) / alpha_closed_form(n)
+    except OverflowError:
+        return False
+    return True
+
+
+def _first_overflowing_n(n_max: int) -> int | None:
+    """The least n in 2..n_max whose sweep row overflows a float, or None.
+
+    Both the ceiling and alpha grow with n, so a doubling probe capped at
+    n_max and a bisection find it without evaluating any n much past it.
+    """
+    good, probe = 1, 2
+    while _sweep_row_fits(probe):
+        if probe == n_max:
+            return None
+        good, probe = probe, min(2 * probe, n_max)
+    while probe - good > 1:
+        mid = (good + probe) // 2
+        good, probe = (mid, probe) if _sweep_row_fits(mid) else (good, mid)
+    return probe
 
 
 def _cmd_sweep(args) -> int:
@@ -244,12 +269,19 @@ def main(argv=None) -> int:
     n = getattr(args, "n", None)
     if n is not None and n < 2:
         return _fail(f"need n >= 2, got {n}", USAGE_ERROR)
-    if args.command == "sweep" and not 2 <= args.n_min <= args.n_max:
-        return _fail(f"invalid range {args.n_min}..{args.n_max}", USAGE_ERROR)
+    if args.command == "sweep":
+        if not 2 <= args.n_min <= args.n_max:
+            return _fail(f"invalid range {args.n_min}..{args.n_max}", USAGE_ERROR)
+        overflow = _first_overflowing_n(args.n_max)
+        if overflow is not None:
+            return _fail(f"sweep rows overflow a float from n={overflow}; "
+                         f"need n-max <= {overflow - 1}", USAGE_ERROR)
     try:
         return args.func(args)
     except (ChainlockError, ValueError, OSError) as exc:
         return _fail(str(exc), COMPUTE_ERROR)
+    except MemoryError as exc:
+        return _fail(str(exc) or "out of memory", COMPUTE_ERROR)
 
 
 if __name__ == "__main__":

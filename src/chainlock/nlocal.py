@@ -103,15 +103,18 @@ def alpha_closed_form(n: int) -> int:
 
 
 def _walsh_hadamard(v: np.ndarray) -> np.ndarray:
-    """In-place-style unnormalized Walsh-Hadamard transform of a length-2^n vector."""
+    """Unnormalized Walsh-Hadamard transform of a length-2^n vector, into a copy.
+
+    Each level is one butterfly done in place on the copy's (-1, 2, h) view.
+    """
     v = v.copy()
-    size = v.shape[0]
     h = 1
-    while h < size:
-        v = v.reshape(-1, 2, h)
-        top = v[:, 0, :] + v[:, 1, :]
-        bot = v[:, 0, :] - v[:, 1, :]
-        v = np.stack((top, bot), axis=1).reshape(size)
+    while h < v.shape[0]:
+        pairs = v.reshape(-1, 2, h)
+        top, bot = pairs[:, 0, :], pairs[:, 1, :]
+        diff = top - bot
+        top += bot
+        bot[...] = diff
         h *= 2
     return v
 
@@ -127,9 +130,10 @@ def assignment_scores(n: int) -> np.ndarray:
     the most significant bit); bit 0 means sign +1.
     """
     size = 2 ** n
+    index = np.arange(size)
     popcount = np.zeros(size, dtype=np.int64)
     for b in range(n):
-        popcount += (np.arange(size) >> b) & 1
+        popcount += (index >> b) & 1
     g = np.abs(n - 2 * popcount)
     indicator = np.zeros(size, dtype=np.int64)
     indicator[: size // 2] = 1  # first bit 0 <=> index < 2^(n-1)

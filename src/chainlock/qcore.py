@@ -1,6 +1,7 @@
 """Quantum numerics for the chain: states, observables, and two correlator evaluators.
 
-The dense evaluator applies every local operator to the full state vector.
+The dense evaluator applies every local operator to the full state vector,
+each as one BLAS matrix product on the state's (pre, dim, post) view.
 The contracted evaluator exploits that the state is a product of maximally
 entangled links: each link of local dimension d turns the expectation into a
 d x d matrix transfer, so a full (n+1)-party correlator costs a handful of
@@ -250,8 +251,9 @@ def apply_to_slot(amplitudes: np.ndarray, op: np.ndarray, start: int, count: int
     if op.shape != (dim, dim):
         raise ShapeError(f"operator shape {op.shape} does not fit a {count}-qubit slot")
     pre, post = 2 ** start, 2 ** (total - start - count)
-    st = amplitudes.reshape(pre, dim, post)
-    return np.einsum("ts,psq->ptq", op, st).reshape(-1)
+    if post == 1:  # one (pre x dim) product beats a batch of length-dim columns
+        return (amplitudes.reshape(pre, dim) @ op.T).reshape(-1)
+    return (op @ amplitudes.reshape(pre, dim, post)).reshape(-1)
 
 
 def _real_or_raise(value: complex, what: str) -> float:

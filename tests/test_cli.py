@@ -125,6 +125,38 @@ def test_sweep_json_range_error(capsys):
     assert "error" in json.loads(err)
 
 
+def test_sweep_past_float_range_is_usage_error(capsys):
+    from chainlock.nlocal import alpha_closed_form
+    from chainlock.soscert import tsirelson_ceiling
+    # first n whose row overflows: the ratio at 1021, the ceiling itself at 1025
+    tsirelson_ceiling(1020) / alpha_closed_form(1020)
+    with pytest.raises(OverflowError):
+        tsirelson_ceiling(1021) / alpha_closed_form(1021)
+    with pytest.raises(OverflowError):
+        tsirelson_ceiling(1025)
+    for n_min, n_max in (("2", "1021"), ("1025", "1030"), ("2", str(10 ** 18))):
+        code, out, err = run_cli(capsys, "sweep", "--n-min", n_min, "--n-max", n_max,
+                                 "--output", "json")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "n=1021" in json.loads(err)["error"]
+
+
+def test_memory_error_is_one_json_line(capsys, monkeypatch):
+    import chainlock.cli as cli
+
+    def exhausted(args):
+        raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+    monkeypatch.setattr(cli, "_cmd_seesaw", exhausted)
+    code, out, err = run_cli(capsys, "seesaw", "--n", "2")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err) == {"error": "Unable to allocate 8.00 TiB for an array"}
+
+
 def test_sweep_json_output(tmp_path, capsys):
     out_path = tmp_path / "rows.json"
     code, _, _ = run_cli(capsys, "sweep", "--n-min", "2", "--n-max", "2",

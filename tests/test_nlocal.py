@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainlock.errors import CapacityError, ShapeError
-from chainlock.nlocal import (Behavior, DeterministicStrategy, alpha_bruteforce,
-                              alpha_closed_form, assignment_scores, behavior_from_strategy,
+from chainlock.nlocal import (Behavior, DeterministicStrategy, _walsh_hadamard,
+                              alpha_bruteforce, alpha_closed_form, assignment_scores, behavior_from_strategy,
                               beta_of_behavior, bound_report, lhv_exhaustive_max)
 from chainlock.scenario import build_encoding
 
@@ -36,6 +36,30 @@ def test_alpha_closed_equals_bruteforce(n):
 def test_bruteforce_against_naive_oracle(n):
     scores = assignment_scores(n)
     assert scores.tolist() == naive_assignment_scores(n)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_walsh_hadamard_matches_hadamard_matrix(n):
+    h = np.array([[1]], dtype=np.int64)
+    for _ in range(n):
+        h = np.kron(h, np.array([[1, 1], [1, -1]], dtype=np.int64))
+    v = np.random.default_rng(n).integers(-1000, 1000, size=2 ** n, dtype=np.int64)
+    before = v.copy()
+    got = _walsh_hadamard(v)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, h @ v)
+    assert np.array_equal(v, before)  # the transform works on a copy
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_assignment_scores_match_direct_enumeration(n):
+    # row a of `assignments` is the sign vector of assignment index a: first
+    # input in the most significant bit, bit 1 meaning sign -1
+    bits = (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    assignments = 1 - 2 * bits
+    signs = np.asarray(build_encoding(n).signs, dtype=np.int64)
+    direct = np.abs(assignments @ signs.T).sum(axis=1)
+    assert np.array_equal(assignment_scores(n), direct)
 
 
 def test_bruteforce_witnesses():

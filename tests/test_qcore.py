@@ -254,6 +254,41 @@ def test_dense_term_values_match_correlator_sums(n, m):
     assert "amplitudes" in vars(model.state)
 
 
+def einsum_apply_to_slot(amplitudes, op, start, count, total):
+    """The dense kernel written as one einsum: the reference for apply_to_slot."""
+    dim = 2 ** count
+    st = amplitudes.reshape(2 ** start, dim, 2 ** (total - start - count))
+    return np.einsum("ts,psq->ptq", op, st).reshape(-1)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_apply_to_slot_matches_einsum_reference(n, m):
+    lay = ChainLayout(n=n, qubits_per_half=m)
+    rng = np.random.default_rng(100 * n + m)
+    total = lay.total_qubits
+    psi = rng.normal(size=2 ** total) + 1j * rng.normal(size=2 ** total)
+    psi /= np.linalg.norm(psi)
+    state = NetworkState(amplitudes=psi, layout=lay)
+    amp = state.amplitudes
+    before = amp.copy()
+    slots = [lay.alice_slot(), *(lay.bob_slot(t) for t in range(1, n)), lay.charlie_slot()]
+    assert slots[0][0] == 0 and sum(slots[-1]) == total  # pre == 1 and post == 1 both covered
+    for start, count in slots:
+        dim = 2 ** count
+        op = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        got = apply_to_slot(amp, op, start, count, total)
+        want = einsum_apply_to_slot(amp, op, start, count, total)
+        assert got.shape == amp.shape
+        assert np.max(np.abs(got - want)) < 1e-14
+        assert not np.shares_memory(got, amp)
+        got[0] += 1.0  # a fresh, writable array
+        with pytest.raises(ShapeError):
+            apply_to_slot(amp, np.eye(dim + 1), start, count, total)
+    assert not amp.flags.writeable
+    assert np.array_equal(amp, before)
+
+
 def test_beta_invariant_under_local_unitary():
     rng = np.random.default_rng(4)
     model = random_model_mats(3, 1, rng)
