@@ -17,10 +17,9 @@ import numpy as np
 
 from .errors import CapacityError, ConstructionFailedError
 from .qcore import (PAULI_X, PAULI_Y, PAULI_Z, BellChainState, Observable, QuantumModel,
-                    CentralSweep, bell_chain_state, beta_quantum, close_chain,
-                    default_layout, dichotomic_projection, jordan_wigner_set, kron_all,
-                    make_model, random_dichotomic, require_bell_chain, signed_sums,
-                    term_expectations)
+                    CentralSweep, bell_chain_state, beta_quantum, close, default_layout,
+                    dichotomic_projection, jordan_wigner_set, kron_all, make_model,
+                    random_dichotomic, require_bell_chain, signed_sums, term_expectations)
 from .scenario import build_encoding
 from .soscert import condition_residuals, omega_values, tsirelson_ceiling
 
@@ -88,11 +87,11 @@ def fit_bob_observables(state: BellChainState, edge_observables):
     model_tmp = make_model(n, edges, [[np.eye(d * d)] * 2] * (n - 1), edges,
                            qubits_per_half=layout.qubits_per_half)
     om_a, om_c = omega_values(model_tmp)
-    lefts = [y / (a * c) for y, a, c in zip(ys, om_a, om_c)]
+    lefts = ys / (np.array(om_a) * np.array(om_c))[:, None, None]
     weights = np.ones(table.terms)
 
     def overlaps(bobs):
-        return np.array([v.real for v in term_expectations(lefts, ys, bobs, table.central, d)])
+        return term_expectations(lefts, ys, bobs, table.central, d).real
 
     def sweep_to_convergence(bobs):
         prev = overlaps(bobs).sum()
@@ -102,8 +101,7 @@ def fit_bob_observables(state: BellChainState, edge_observables):
                 for yv in range(2):
                     bobs[t][yv] = dichotomic_projection(sweep.slot_matrix(t, yv, weights))
                 sweep.advance(t)
-            cur = np.array([close_chain(env, y, d, n).real
-                            for env, y in zip(sweep.left, ys)]).sum()
+            cur = close(sweep.left, ys, d, n).real.sum()
             if abs(cur - prev) < 1e-13:
                 break
             prev = cur

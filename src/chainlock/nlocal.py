@@ -1,7 +1,7 @@
 """Classical (n-local) bounds for the chain inequality.
 
 Three independent routes to the same number:
-  * ``alpha_closed_form``  -- the binomial sum, exact integers.
+  * ``alpha_closed_form``  -- one binomial, n C(n-1, floor((n-1)/2)), exact.
   * ``alpha_bruteforce``   -- exhaustive evaluation of the edge-assignment
     functional at every one of the 2^n sign assignments, exact integers.
   * ``lhv_exhaustive_max`` -- full deterministic-strategy search at the
@@ -96,10 +96,10 @@ class BoundReport:
 
 
 def alpha_closed_form(n: int) -> int:
-    """Classical ceiling: sum_{l=0}^{floor(n/2)} C(n,l) * (n - 2l)."""
+    """Classical ceiling n C(n-1, floor((n-1)/2)): sum_{l<=n/2} C(n,l) (n - 2l), telescoped."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    return sum(math.comb(n, l) * (n - 2 * l) for l in range(n // 2 + 1))
+    return n * math.comb(n - 1, (n - 1) // 2)
 
 
 def _walsh_hadamard(v: np.ndarray) -> np.ndarray:

@@ -302,26 +302,88 @@ def term_vectors(model: QuantumModel, ya, yc):
 
 # ---------------------------------------------------------------------------
 # chain-contraction evaluator
+#
+# Per-term quantities carry a leading term axis: edge sums and environments
+# are (terms, d, d), open-slot matrices (terms, d^2, d^2).  Term i reads
+# bobs[t][central[i, t]] at central party t+1 (``central``: the term table's
+# 0-based inputs).  Every route is one of two folds, one party at a time: left
+# environments pushed forward or right ones pulled back, on each link
+# <phi| P (x) Q |phi> = tr(P Q^T)/d.  A party folds the readers of each of its
+# operators ([bra l, bra r, ket l, ket r] legs) in one ``einsum``, without a
+# per-term copy; for each term that is the float sequence of a one-term fold.
 
-def transfer_forward(env: np.ndarray, bob: np.ndarray, d: int) -> np.ndarray:
-    """Push a d x d left environment through one central operator."""
-    T = bob.reshape(d, d, d, d)  # [bra left-leg, bra right-leg, ket left-leg, ket right-leg]
-    return np.einsum("ab,acbd->cd", env, T)
+def _fold(spec: str, envs: np.ndarray, bobs, central, t: int, d: int) -> np.ndarray:
+    """envs through central party t+1, each term through the operator it reads."""
+    out = np.empty_like(envs)
+    for y, op in enumerate(bobs[t]):
+        m = central[:, t] == y
+        out[m] = np.einsum(spec, envs[m], np.asarray(op, dtype=complex).reshape(d, d, d, d))
+    return out
 
 
-def transfer_backward(env: np.ndarray, bob: np.ndarray, d: int) -> np.ndarray:
-    """Pull a d x d right environment back through one central operator."""
-    T = bob.reshape(d, d, d, d)
-    return np.einsum("cd,acbd->ab", env, T)
+def push(lefts: np.ndarray, bobs, central, d: int, start: int = 0,
+         stop: int | None = None) -> np.ndarray:
+    """Left environments pushed forward through central parties start+1..stop (default n-1)."""
+    lefts = np.asarray(lefts, dtype=complex)
+    for t in range(start, central.shape[1] if stop is None else stop):
+        lefts = _fold("iab,acbd->icd", lefts, bobs, central, t, d)
+    return lefts
+
+
+def pull(rights: np.ndarray, bobs, central, d: int) -> list[np.ndarray]:
+    """envs[k] = right environments pulled back through central parties k+1..n-1."""
+    envs = [np.asarray(rights, dtype=complex)]
+    for t in reversed(range(central.shape[1])):
+        envs.append(_fold("icd,acbd->iab", envs[-1], bobs, central, t, d))
+    return envs[::-1]
+
+
+def close(lefts: np.ndarray, rights: np.ndarray, d: int, n: int) -> np.ndarray:
+    """Chain values from full left environments and the right edge operators."""
+    return np.einsum("iab,iab->i", lefts, rights) / d ** n
+
+
+def open_slots(lefts: np.ndarray, rights: np.ndarray, d: int, n: int) -> np.ndarray:
+    """G_i with <chain_i> = tr(B G_i) for a central operator B between two environments."""
+    return np.einsum("iab,icd->ibdac", lefts, rights).reshape(-1, d * d, d * d) / d ** n
+
+
+def term_expectations(lefts, rights, bobs, central, d: int) -> np.ndarray:
+    """<L_i (x) B_i (x) R_i> for every term i, B_i the central operators it reads.
+
+    With L_i = Y^A_i and R_i = Y^C_i the values are the J_i.
+    """
+    return close(push(lefts, bobs, central, d), rights, d, central.shape[1] + 1)
+
+
+def _one_chain(edge_mat, bob_mats):
+    """A single chain in the folds' one-term layout: (edge stack, bobs, central)."""
+    return (np.asarray(edge_mat, dtype=complex)[None], [[b] for b in bob_mats],
+            np.zeros((1, len(bob_mats)), dtype=np.int64))
 
 
 def chain_expectation(a_mat: np.ndarray, bob_mats, c_mat: np.ndarray, d: int) -> complex:
-    """<a (x) bobs (x) c> on a chain of maximally entangled links of dimension d.
+    """<a (x) bobs (x) c> on a chain of maximally entangled links of dimension d."""
+    lefts, bobs, central = _one_chain(a_mat, bob_mats)
+    return term_expectations(lefts, _one_chain(c_mat, [])[0], bobs, central, d)[0]
 
-    On each link <phi| P (x) Q |phi> = tr(P Q^T)/d, which threads the whole
-    correlator into d x d transfers with one global 1/d^n factor.
-    """
-    return close_chain(left_environments(a_mat, bob_mats, d)[-1], c_mat, d, len(bob_mats) + 1)
+
+def bob_slot_matrix(a_mat, bob_mats_before, bob_mats_after, c_mat, d: int,
+                    n: int) -> np.ndarray:
+    """G with <chain> = tr(B G) when central operator B is left open."""
+    return open_slots(push(*_one_chain(a_mat, bob_mats_before), d),
+                      pull(*_one_chain(c_mat, bob_mats_after), d)[0], d, n)[0]
+
+
+def edge_slot_matrix(side: str, bob_mats, other_edge_mat, d: int, n: int) -> np.ndarray:
+    """G with <chain> = tr(E G) when one edge operator E is left open."""
+    if side == "alice":
+        env = pull(*_one_chain(other_edge_mat, bob_mats), d)[0]
+    elif side == "charlie":
+        env = push(*_one_chain(other_edge_mat, bob_mats), d)
+    else:
+        raise ValueError("side must be 'alice' or 'charlie'")
+    return env[0].T / d ** n
 
 
 def require_bell_chain(state):
@@ -383,51 +445,21 @@ def beta_quantum(model: QuantumModel,
 
 
 # ---------------------------------------------------------------------------
-# open-slot functionals (used by the seesaw and the condition solver)
+# open-slot functionals (used by the seesaw and the condition fitter)
 #
-# Everything here is one of two folds: a left operator pushed forward through
-# central operators (``left_environments``) or a right operator pulled back
-# through them (``right_environments``).  A chain value closes a full left
-# environment against the right operator; an open-slot matrix joins the left
-# and right environments on either side of the slot.  ``CentralSweep`` keeps
-# every term's environments through a left-to-right pass, so each slot matrix
-# costs one contraction per term; a cached environment is the same float
-# sequence as a fresh fold, so cached and fresh values are equal bit for bit.
-# ``bobs[t][y]`` is the matrix of central party t+1 for 0-based input y, and
-# ``central`` is the term table's per-term tuple of those 0-based inputs.
+# ``CentralSweep`` keeps the stacked environments through a left-to-right
+# pass, so a slot matrix is its readers' ``open_slots``, weighted and summed
+# in term order.  A cached environment is the float sequence of a fresh fold,
+# so cached and fresh values are equal bit for bit.
 
-def left_environments(a_mat, bob_mats, d: int) -> list[np.ndarray]:
-    """envs[k] = a pushed forward through bob_mats[:k], for k = 0..len(bob_mats)."""
-    envs = [np.asarray(a_mat, dtype=complex)]
-    for b in bob_mats:
-        envs.append(transfer_forward(envs[-1], np.asarray(b, dtype=complex), d))
-    return envs
+_SLOT_STACK_BYTES = 1 << 22  # 4 MB: 64 slot matrices at d = 8, one from d = 32 up
 
-
-def right_environments(c_mat, bob_mats, d: int) -> list[np.ndarray]:
-    """envs[k] = c pulled back through bob_mats[k:], for k = 0..len(bob_mats)."""
-    envs = [np.asarray(c_mat, dtype=complex)]
-    for b in reversed(bob_mats):
-        envs.append(transfer_backward(envs[-1], np.asarray(b, dtype=complex), d))
-    return envs[::-1]
-
-
-def close_chain(left_env: np.ndarray, c_mat, d: int, n: int) -> complex:
-    """Chain value from a full left environment and the right edge operator."""
-    return np.einsum("ab,ab->", left_env, np.asarray(c_mat, dtype=complex)) / d ** n
-
-
-def open_slot(left_env: np.ndarray, right_env: np.ndarray, d: int, n: int) -> np.ndarray:
-    """G with <chain> = tr(B G) for the central operator B between two environments."""
-    return np.einsum("ab,cd->bdac", left_env, right_env).reshape(d * d, d * d) / d ** n
-
-
-def signed_sums(signs: np.ndarray, mats) -> list[np.ndarray]:
+def signed_sums(signs: np.ndarray, mats) -> np.ndarray:
     """Y_i = sum_x signs[i, x] M_x for every term: the signed edge combinations."""
-    return [sum(s[x] * mats[x] for x in range(len(mats))) for s in signs]
+    return np.einsum("ix,xab->iab", signs, np.asarray(mats))
 
 
-def edge_sums(n: int, alice, charlie) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def edge_sums(n: int, alice, charlie) -> tuple[np.ndarray, np.ndarray]:
     """(Y^A_i, Y^C_i) for every term i from the edge observables or their matrices."""
     signs = build_encoding(n).signs
     mats = [[o.matrix if isinstance(o, Observable) else o for o in ops]
@@ -435,21 +467,11 @@ def edge_sums(n: int, alice, charlie) -> tuple[list[np.ndarray], list[np.ndarray
     return signed_sums(signs, mats[0]), signed_sums(signs, mats[1])
 
 
-def term_expectations(lefts, rights, bobs, central, d: int) -> list[complex]:
-    """<L_i (x) B_i (x) R_i> for every term i, by chain contraction.
-
-    B_i is the product of the central operators term i reads; with
-    L_i = Y^A_i and R_i = Y^C_i the values are the J_i.
-    """
-    return [chain_expectation(a, [bobs[t][y] for t, y in enumerate(row)], c, d)
-            for a, c, row in zip(lefts, rights, central)]
-
-
 class CentralSweep:
     """Every term's environments through one left-to-right pass over the central slots.
 
-    ``right[i][t + 1]`` is rights[i] pulled back through term i's operators
-    after party t+1, built once from ``bobs`` as they stand at construction;
+    ``right[k][i]`` is rights[i] pulled back through term i's operators after
+    party k, built once from ``bobs`` as they stand at construction;
     ``left[i]`` is lefts[i] pushed through the parties already passed.  The
     caller may change ``bobs[t][y]`` (in place) while the sweep is at party
     t+1 and calls ``advance(t)`` once it moves on; after the last party
@@ -457,18 +479,15 @@ class CentralSweep:
     """
 
     def __init__(self, lefts, rights, bobs, central, d: int):
-        self.right_ops, self.bobs, self.central, self.d = rights, bobs, central, d
-        self.n = len(bobs) + 1
-        self.left = [np.asarray(a, dtype=complex) for a in lefts]
-        self.right = [right_environments(c, self._operators(row, 0), d)
-                      for c, row in zip(rights, central)]
+        self.bobs, self.central, self.d = bobs, central, d
+        self.n = central.shape[1] + 1
+        self.left = np.asarray(lefts, dtype=complex)
+        self.right_ops = np.asarray(rights, dtype=complex)
+        self.right = pull(self.right_ops, bobs, central, d)
 
-    def _operators(self, row, start: int) -> list[np.ndarray]:
-        return [self.bobs[u][row[u]] for u in range(start, self.n - 1)]
-
-    def readers(self, t: int, y: int) -> list[int]:
+    def readers(self, t: int, y: int) -> np.ndarray:
         """The terms whose central party t+1 reads input y."""
-        return [i for i, row in enumerate(self.central) if row[t] == y]
+        return np.flatnonzero(self.central[:, t] == y)
 
     def slot_matrix(self, t: int, y: int, weights) -> np.ndarray:
         """W = sum_i weights[i] G_i over the readers of slot (t, y).
@@ -476,43 +495,24 @@ class CentralSweep:
         G_i is term i's open-slot matrix, so an operator B placed in the slot
         gives tr(B W) = sum_i weights[i] <L_i (x) B_i (x) R_i>.
         """
-        d, n = self.d, self.n
-        w = np.zeros((d * d, d * d), dtype=complex)
-        for i in self.readers(t, y):
-            w += weights[i] * open_slot(self.left[i], self.right[i][t + 1], d, n)
-        return w
+        d, n, readers = self.d, self.n, self.readers(t, y)
+        w = np.zeros((1, d * d, d * d), dtype=complex)
+        step = max(1, _SLOT_STACK_BYTES // (16 * d ** 4))
+        for s in range(0, len(readers), step):  # w stays first: G_i add to it in term order
+            i = readers[s:s + step]
+            g = open_slots(self.left[i], self.right[t + 1][i], d, n)
+            w = np.concatenate([w, np.asarray(weights)[i, None, None] * g]).sum(0, keepdims=True)
+        return w[0]
 
-    def refold(self, t: int, y: int) -> dict[int, complex]:
-        """Chain value of every reader of slot (t, y) with the operator now in it."""
-        values = {}
-        for i in self.readers(t, y):
-            ops = self._operators(self.central[i], t)
-            env = left_environments(self.left[i], ops, self.d)[-1]
-            values[i] = close_chain(env, self.right_ops[i], self.d, self.n)
-        return values
+    def refold(self, t: int, y: int) -> tuple[np.ndarray, np.ndarray]:
+        """The readers of slot (t, y) and their chain values with the operator now in it."""
+        i = self.readers(t, y)
+        lefts = push(self.left[i], self.bobs, self.central[i], self.d, start=t)
+        return i, close(lefts, self.right_ops[i], self.d, self.n)
 
     def advance(self, t: int):
         """Push every left environment through its operator of central party t+1."""
-        self.left = [transfer_forward(env, self.bobs[t][row[t]], self.d)
-                     for env, row in zip(self.left, self.central)]
-
-
-def bob_slot_matrix(a_mat, bob_mats_before, bob_mats_after, c_mat, d: int,
-                    n: int) -> np.ndarray:
-    """G with <chain> = tr(B G) when central operator B is left open."""
-    return open_slot(left_environments(a_mat, bob_mats_before, d)[-1],
-                     right_environments(c_mat, bob_mats_after, d)[0], d, n)
-
-
-def edge_slot_matrix(side: str, bob_mats, other_edge_mat, d: int, n: int) -> np.ndarray:
-    """G with <chain> = tr(E G) when one edge operator E is left open."""
-    if side == "alice":
-        env = right_environments(other_edge_mat, bob_mats, d)[0]
-    elif side == "charlie":
-        env = left_environments(other_edge_mat, bob_mats, d)[-1]
-    else:
-        raise ValueError("side must be 'alice' or 'charlie'")
-    return env.T / d ** n
+        self.left = push(self.left, self.bobs, self.central, self.d, start=t, stop=t + 1)
 
 
 def dichotomic_projection(hermitian: np.ndarray) -> np.ndarray:
@@ -561,10 +561,17 @@ def model_to_json_dict(model: QuantumModel) -> dict:
 
 
 def model_from_json_dict(data: dict) -> QuantumModel:
-    return make_model(
-        int(data["n"]),
-        [_matrix_from_pairs(m) for m in data["alice"]],
-        [[_matrix_from_pairs(m) for m in pair] for pair in data["bobs"]],
-        [_matrix_from_pairs(m) for m in data["charlie"]],
-        qubits_per_half=int(data["qubits_per_half"]),
-    )
+    """Inverse of ``model_to_json_dict``; a missing or malformed field raises ShapeError."""
+    if not isinstance(data, dict):
+        raise ShapeError(f"model must be a JSON object, got {type(data).__name__}")
+
+    def field(name, parse=lambda ms: [_matrix_from_pairs(m) for m in ms]):
+        try:
+            return parse(data[name])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ShapeError(f"model field {name!r} is missing or malformed: {exc!r}") from None
+
+    return make_model(field("n", int), field("alice"),
+                      field("bobs", lambda pairs: [[_matrix_from_pairs(m) for m in p]
+                                                   for p in pairs]),
+                      field("charlie"), qubits_per_half=field("qubits_per_half", int))

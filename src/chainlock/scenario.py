@@ -21,14 +21,15 @@ class TermTable:
 
     Row i of ``signs`` (0-based internally, 1-based in reports) is (-1)^b for
     the i-th length-n bit string with first bit 0, in ascending binary order,
-    so every row starts with +1.  ``central[i]`` holds the trailing bits of
-    that b: the 0-based input of each central party in term i.
+    so every row starts with +1.  Row i of ``central`` holds the trailing bits
+    of that b: the 0-based input of each central party in term i.  Both are
+    read-only int arrays, (terms, n) and (terms, n-1).
     """
 
     n: int
     signs: np.ndarray
     bitstrings: tuple[str, ...]
-    central: tuple[tuple[int, ...], ...]
+    central: np.ndarray
 
     central_inputs = 2
     outcomes = 2
@@ -57,7 +58,7 @@ class TermTable:
     def bob_inputs(self, i: int) -> tuple[int, ...]:
         """1-based central-party inputs of 1-based term index i."""
         self._check(i)
-        return tuple(y + 1 for y in self.central[i - 1])
+        return tuple(int(y) + 1 for y in self.central[i - 1])
 
 
 @functools.lru_cache(maxsize=None)
@@ -68,10 +69,11 @@ def build_encoding(n: int) -> TermTable:
     count = 2 ** (n - 1)
     bits = [[0] + [(i >> (n - 2 - j)) & 1 for j in range(n - 1)] for i in range(count)]
     signs = np.array([[1 - 2 * b for b in row] for row in bits], dtype=np.int64)
+    central = np.array([row[1:] for row in bits], dtype=np.int64)
     signs.setflags(write=False)
-    return TermTable(n=n, signs=signs,
-                     bitstrings=tuple("".join(map(str, row)) for row in bits),
-                     central=tuple(tuple(row[1:]) for row in bits))
+    central.setflags(write=False)
+    return TermTable(n=n, signs=signs, central=central,
+                     bitstrings=tuple("".join(map(str, row)) for row in bits))
 
 
 def build_bob_input_map(n: int) -> tuple[tuple[int, ...], ...]:

@@ -5,17 +5,17 @@ objective with one observable slot left open (chain contraction) and replaces
 the observable by the dichotomic projection of that operator.  An update that
 would lower beta is discarded, which keeps every trace monotone.
 
-A sweep keeps every term's chain environments instead of refolding all terms
-after each update (the left/right block caching of DMRG sweeps):
+A sweep keeps the stacked chain environments of all terms instead of
+refolding them after each update (the left/right block caching of DMRG sweeps):
 
 - central slots, left to right: the right environments are built once per
-  sweep and each term's left environment advances past a party once its two
-  slots are done.  A candidate refolds only the terms that read the updated
-  slot, forward from their cached left environment; every other J_i is kept.
-- Alice: the open-slot matrices are the full right environments, built once
-  for the phase; a candidate rebuilds the Alice sums and refolds each term.
+  sweep and the left environments advance past a party once its two slots
+  are done.  A candidate refolds only the terms that read the updated slot,
+  forward from their cached left environments; every other J_i is kept.
+- Alice: the open-slot matrices are the full right environments, one stacked
+  pull; a candidate pushes its new Alice sums through every term at once.
 - Charlie: the open-slot matrices are the accepted full left environments; a
-  candidate J_i is one closing contraction against the new Charlie sum.
+  candidate's J_i are one stacked close against the new Charlie sums.
 
 Each cached value is the float sequence of a fresh fold, so the trace equals
 that of refolding everything, bit for bit.
@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import (CentralSweep, QuantumModel, close_chain, default_layout,
-                    dichotomic_projection, edge_slot_matrix, edge_sums, left_environments,
-                    make_model, random_dichotomic, signed_sums, term_expectations)
+from .qcore import (CentralSweep, QuantumModel, close, default_layout, dichotomic_projection,
+                    edge_sums, make_model, pull, push, random_dichotomic, signed_sums,
+                    term_expectations)
 from .scenario import build_encoding
 
 WEIGHT_FLOOR = 1e-12
@@ -98,7 +98,7 @@ class _Workspace:
 
 def _beta_of(ws: _Workspace, table):
     ya, yc = edge_sums(ws.n, ws.alice, ws.charlie)
-    js = np.array([v.real for v in term_expectations(ya, yc, ws.bobs, table.central, ws.d)])
+    js = term_expectations(ya, yc, ws.bobs, table.central, ws.d).real
     return float(np.sum(np.sqrt(np.abs(js)))), js
 
 
@@ -110,7 +110,7 @@ def _weights(js: np.ndarray) -> np.ndarray:
 def _sweep(ws: _Workspace, table, beta: float, js: np.ndarray,
            optimize_edges: bool) -> tuple[float, np.ndarray]:
     n, d = ws.n, ws.d
-    central = table.central
+    central, signs = table.central, table.signs
 
     def keep(cand_js: np.ndarray) -> bool:
         """Accept the candidate J_i unless beta drops."""
@@ -121,13 +121,9 @@ def _sweep(ws: _Workspace, table, beta: float, js: np.ndarray,
         beta, js = cand, cand_js
         return True
 
-    def edge_matrix(slots: list, x: int) -> np.ndarray:
+    def edge_matrix(slots: np.ndarray, x: int) -> np.ndarray:
         """sum_i c_i signs[i, x] G_i over every term, with edge slot x open."""
-        c = _weights(js)
-        w = np.zeros((d, d), dtype=complex)
-        for i in range(table.terms):
-            w += c[i] * table.signs[i][x] * slots[i]
-        return w
+        return ((_weights(js) * signs[:, x])[:, None, None] * slots).sum(axis=0)
 
     ya, yc = edge_sums(n, ws.alice, ws.charlie)  # fixed while the central slots move
     sweep = CentralSweep(ya, yc, ws.bobs, central, d)
@@ -135,38 +131,34 @@ def _sweep(ws: _Workspace, table, beta: float, js: np.ndarray,
         for yv in range(2):
             old = ws.bobs[t][yv]
             ws.bobs[t][yv] = dichotomic_projection(sweep.slot_matrix(t, yv, _weights(js)))
+            readers, values = sweep.refold(t, yv)
             cand_js = js.copy()  # terms that do not read the slot keep their J_i
-            for i, v in sweep.refold(t, yv).items():
-                cand_js[i] = v.real
+            cand_js[readers] = values.real
             if not keep(cand_js):
                 ws.bobs[t][yv] = old
         sweep.advance(t)
     if not optimize_edges:
         return beta, js
-    ops = [[ws.bobs[t][y] for t, y in enumerate(row)] for row in central]
     lefts = sweep.left  # full left environments of the accepted observables
-    # Alice's open-slot matrices are the full right environments, built once;
-    # a candidate refolds every term from its new signed sum.
-    slots = [edge_slot_matrix("alice", mats, c, d, n) for c, mats in zip(yc, ops)]
+    # Alice's open-slot matrices are the full right environments, one stacked
+    # pull; a candidate pushes its new signed sums through every term.
+    slots = pull(yc, ws.bobs, central, d)[0].transpose(0, 2, 1) / d ** n
     for x in range(n):
         old = ws.alice[x]
         ws.alice[x] = dichotomic_projection(edge_matrix(slots, x))
-        cand_lefts = [left_environments(a, mats, d)[-1]
-                      for a, mats in zip(signed_sums(table.signs, ws.alice), ops)]
-        if keep(np.array([close_chain(env, c, d, n).real for env, c in zip(cand_lefts, yc)])):
+        cand_lefts = push(signed_sums(signs, ws.alice), ws.bobs, central, d)
+        if keep(close(cand_lefts, yc, d, n).real):
             lefts = cand_lefts
         else:
             ws.alice[x] = old
     # Charlie's open-slot matrices are those left environments (what
-    # edge_slot_matrix("charlie", ...) would refold); a candidate closes each
-    # of them against its new signed sum.
-    slots = [env.T / d ** n for env in lefts]
+    # edge_slot_matrix("charlie", ...) would refold); a candidate closes them
+    # against its new signed sums.
+    slots = lefts.transpose(0, 2, 1) / d ** n
     for x in range(n):
         old = ws.charlie[x]
         ws.charlie[x] = dichotomic_projection(edge_matrix(slots, x))
-        cand_yc = signed_sums(table.signs, ws.charlie)
-        if not keep(np.array([close_chain(env, c, d, n).real
-                              for env, c in zip(lefts, cand_yc)])):
+        if not keep(close(lefts, signed_sums(signs, ws.charlie), d, n).real):
             ws.charlie[x] = old
     return beta, js
 

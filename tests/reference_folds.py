@@ -1,0 +1,60 @@
+"""Per-term chain folds: one ``einsum`` per term and central party.
+
+The tests' independent reference for the stacked folds of ``chainlock.qcore``:
+a stacked fold must run, for each term, exactly this float sequence.  On each
+link <phi| P (x) Q |phi> = tr(P Q^T)/d, so a chain of n links is a product of
+d x d transfers with one global 1/d^n factor.
+"""
+import numpy as np
+
+
+def _legs(op, d):
+    """op as [bra left, bra right, ket left, ket right] legs."""
+    return np.asarray(op, dtype=complex).reshape(d, d, d, d)
+
+
+def push_one(env, ops, d):
+    """A left environment pushed forward through the central operators ops."""
+    env = np.asarray(env, dtype=complex)
+    for op in ops:
+        env = np.einsum("ab,acbd->cd", env, _legs(op, d))
+    return env
+
+
+def pull_one(env, ops, d):
+    """A right environment pulled back through the central operators ops."""
+    env = np.asarray(env, dtype=complex)
+    for op in reversed(ops):
+        env = np.einsum("cd,acbd->ab", env, _legs(op, d))
+    return env
+
+
+def close_one(left, right, d, n):
+    """Chain value from a full left environment and the right edge operator."""
+    return np.einsum("ab,ab->", left, np.asarray(right, dtype=complex)) / d ** n
+
+
+def open_one(left, right, d, n):
+    """G with <chain> = tr(B G) for the central operator B between two environments."""
+    return np.einsum("ab,cd->bdac", left, right).reshape(d * d, d * d) / d ** n
+
+
+def chain_value(a, ops, c, d):
+    """<a (x) ops (x) c> on a chain of len(ops) + 1 links."""
+    return close_one(push_one(a, ops, d), c, d, len(ops) + 1)
+
+
+def bob_slot(a, before, after, c, d, n):
+    """Open-slot matrix of the central operator between before and after."""
+    return open_one(push_one(a, before, d), pull_one(c, after, d), d, n)
+
+
+def edge_slot(side, ops, other, d, n):
+    """Open-slot matrix of Alice's or Charlie's edge operator."""
+    env = pull_one(other, ops, d) if side == "alice" else push_one(other, ops, d)
+    return env.T / d ** n
+
+
+def signed_sums(signs, mats):
+    """Y_i = sum_x signs[i, x] M_x, added x by x."""
+    return [sum(s[x] * mats[x] for x in range(len(mats))) for s in signs]

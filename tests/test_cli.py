@@ -109,6 +109,26 @@ def test_certify_missing_file(capsys):
     assert "error" in json.loads(err)
 
 
+def _bad_entries_model():
+    data = model_to_json_dict(optimal_model(2))
+    data["alice"][0][0] = [1.0, 0.0]  # a row of numbers, not [re, im] pairs
+    return data
+
+
+@pytest.mark.parametrize("text", ["{}", "[1, 2]", json.dumps(_bad_entries_model()),
+                                  '{"n": 1e400}'],
+                         ids=["empty-object", "list", "row-not-pairs", "n-overflows"])
+def test_certify_malformed_model_exits_1(tmp_path, capsys, text):
+    path = tmp_path / "model.json"
+    path.write_text(text)  # 1e400 parses as inf, and int(inf) overflows
+    code, out, err = run_cli(capsys, "certify", "--model", str(path))
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert "error" in json.loads(lines[0])
+
+
 def test_sweep_csv_header_and_ratio(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--n-min", "2", "--n-max", "3")
     assert code == 0

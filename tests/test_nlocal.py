@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,13 @@ def naive_assignment_scores(n):
 @pytest.mark.parametrize("n,value", [(2, 2), (3, 6), (4, 12), (5, 30)])
 def test_alpha_known_values(n, value):
     assert alpha_closed_form(n) == value
+
+
+def test_alpha_closed_form_equals_binomial_sum():
+    # the one-binomial form against the binomial sum it telescopes, exact integers
+    for n in range(2, 301):
+        assert alpha_closed_form(n) == sum(math.comb(n, l) * (n - 2 * l)
+                                           for l in range(n // 2 + 1))
 
 
 @pytest.mark.parametrize("n", range(2, 21))

@@ -11,6 +11,8 @@ from chainlock.qcore import (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, ChainLayout, Ne
                              correlator_dense, default_layout, dichotomic_projection,
                              jordan_wigner_set, kron_all, make_model, model_from_json_dict,
                              model_to_json_dict, random_dichotomic, reduced_density)
+from reference_folds import (bob_slot, chain_value, close_one, edge_slot, open_one, pull_one,
+                             push_one)
 
 SQ2 = np.sqrt(2.0)
 
@@ -412,9 +414,8 @@ def test_edge_slot_matrix_matches_dense():
 @pytest.mark.parametrize("m", [1, 2])
 def test_cached_environments_equal_fresh_folds(n, m):
     # a cached environment is the same float sequence as a fresh fold, so every
-    # slot matrix and chain value of a sweep equals the one-shot helpers exactly
-    from chainlock.qcore import (CentralSweep, bob_slot_matrix, chain_expectation,
-                                 edge_slot_matrix, signed_sums)
+    # slot matrix and chain value of a sweep equals the per-term folds exactly
+    from chainlock.qcore import CentralSweep, signed_sums
     from chainlock.scenario import build_encoding
     rng = np.random.default_rng(100 * n + m)
     model = random_model_mats(n, m, rng)
@@ -428,24 +429,84 @@ def test_cached_environments_equal_fresh_folds(n, m):
 
     sweep = CentralSweep(ya, yc, bobs, table.central, d)
     for i, row in enumerate(table.central):
-        assert np.array_equal(sweep.right[i][0].T / d ** n,
-                              edge_slot_matrix("alice", ops(row), yc[i], d, n))
+        assert np.array_equal(sweep.right[0][i].T / d ** n,
+                              edge_slot("alice", ops(row), yc[i], d, n))
     for t in range(n - 1):
         for y in range(2):
             readers = sweep.readers(t, y)
             for i in readers:
                 row = ops(table.central[i])
-                want = bob_slot_matrix(ya[i], row[:t], row[t + 1:], yc[i], d, n)
+                want = bob_slot(ya[i], row[:t], row[t + 1:], yc[i], d, n)
                 assert np.array_equal(sweep.slot_matrix(t, y, np.eye(table.terms)[i]), want)
             bobs[t][y] = random_dichotomic(d * d, rng)
-            refolded = sweep.refold(t, y)
-            assert sorted(refolded) == readers
-            for i, value in refolded.items():
-                assert value == chain_expectation(ya[i], ops(table.central[i]), yc[i], d)
+            refolded, values = sweep.refold(t, y)
+            assert np.array_equal(refolded, readers)
+            for i, value in zip(refolded, values):
+                assert value == chain_value(ya[i], ops(table.central[i]), yc[i], d)
         sweep.advance(t)
     for i, row in enumerate(table.central):
         assert np.array_equal(sweep.left[i].T / d ** n,
-                              edge_slot_matrix("charlie", ops(row), ya[i], d, n))
+                              edge_slot("charlie", ops(row), ya[i], d, n))
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_stacked_folds_equal_per_term_folds(n, d, monkeypatch):
+    # every stacked fold runs, term by term, the float sequence of the
+    # one-term einsum fold, and a slot matrix adds its terms in order as a
+    # sequential += does, also when its open-slot stack is cut into pieces
+    from chainlock import qcore
+    from chainlock.scenario import build_encoding
+    rng = np.random.default_rng(1000 * n + d)
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    central = build_encoding(n).central
+    terms = len(central)
+    lefts, rights = cplx(terms, d, d), cplx(terms, d, d)
+    bobs = [[cplx(d * d, d * d) for _ in range(2)] for _ in range(n - 1)]
+    ops = [[bobs[t][y] for t, y in enumerate(row)] for row in central]
+
+    pushed, pulled = qcore.push(lefts, bobs, central, d), qcore.pull(rights, bobs, central, d)
+    for i in range(terms):
+        assert np.array_equal(pushed[i], push_one(lefts[i], ops[i], d))
+        for k in range(n):
+            assert np.array_equal(pulled[k][i], pull_one(rights[i], ops[i][k:], d))
+    for i, value in enumerate(qcore.close(pushed, rights, d, n)):
+        assert value == close_one(pushed[i], rights[i], d, n)
+    for i, value in enumerate(qcore.term_expectations(lefts, rights, bobs, central, d)):
+        assert value == chain_value(lefts[i], ops[i], rights[i], d)
+    for i, g in enumerate(qcore.open_slots(lefts, rights, d, n)):
+        assert np.array_equal(g, open_one(lefts[i], rights[i], d, n))
+
+    weights = rng.normal(size=terms)
+    slot_bytes = 16 * d ** 4
+    for budget in (qcore._SLOT_STACK_BYTES, 3 * slot_bytes, slot_bytes // 2):
+        monkeypatch.setattr(qcore, "_SLOT_STACK_BYTES", budget)
+        sweep = qcore.CentralSweep(lefts, rights, bobs, central, d)
+        for t in range(n - 1):
+            for y in range(2):
+                want = np.zeros((d * d, d * d), dtype=complex)
+                for i in sweep.readers(t, y):
+                    want += weights[i] * bob_slot(lefts[i], ops[i][:t], ops[i][t + 1:],
+                                                  rights[i], d, n)
+                assert np.array_equal(sweep.slot_matrix(t, y, weights), want)
+            sweep.advance(t)
+
+
+@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_signed_sums_equal_sequential_sums(n, d):
+    # the stacked einsum adds the signed edge matrices in the order, and to
+    # the bits, of the sequential per-term sum
+    from chainlock.qcore import signed_sums
+    from chainlock.scenario import build_encoding
+    rng = np.random.default_rng(10 * n + d)
+    mats = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(n)]
+    signs = build_encoding(n).signs
+    want = np.array([sum(s[x] * mats[x] for x in range(n)) for s in signs])
+    assert np.array_equal(signed_sums(signs, mats), want)
 
 
 def test_embedded_classical_strategy_reproduces_behavior_beta():

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from chainlock.qcore import (Observable, beta_quantum, bob_slot_matrix, chain_expectation,
-                             dichotomic_projection, edge_slot_matrix, signed_sums)
+from chainlock.qcore import Observable, beta_quantum, dichotomic_projection
 from chainlock.scenario import build_encoding
 from chainlock.seesaw import (SeesawConfig, SeesawReport, _beta_of, _sweep, _weights,
                               _Workspace, random_model, seesaw_optimize)
 from chainlock.soscert import tsirelson_ceiling
+from reference_folds import bob_slot, chain_value, edge_slot, signed_sums
 
 
 def test_config_validation():
@@ -116,7 +116,8 @@ def test_seesaw_best_beta_is_contracted_beta(n, seed, restarts, max_iterations):
 
 
 def _uncached_sweep(ws, table, beta, js, optimize_edges):
-    """Reference sweep: every candidate refolds every term from scratch."""
+    """Reference sweep: every candidate refolds every term from scratch, one
+    term at a time with the per-term folds of ``reference_folds``."""
     n, d = ws.n, ws.d
 
     def operators(row):
@@ -124,7 +125,7 @@ def _uncached_sweep(ws, table, beta, js, optimize_edges):
 
     def beta_of():
         ya, yc = signed_sums(table.signs, ws.alice), signed_sums(table.signs, ws.charlie)
-        cand = np.array([chain_expectation(a, operators(row), c, d).real
+        cand = np.array([chain_value(a, operators(row), c, d).real
                          for a, c, row in zip(ya, yc, table.central)])
         return float(np.sum(np.sqrt(np.abs(cand)))), cand
 
@@ -146,7 +147,7 @@ def _uncached_sweep(ws, table, beta, js, optimize_edges):
             for i, row in enumerate(table.central):
                 if row[t] == yv:
                     mats = operators(row)
-                    w += c[i] * bob_slot_matrix(ya[i], mats[:t], mats[t + 1:], yc[i], d, n)
+                    w += c[i] * bob_slot(ya[i], mats[:t], mats[t + 1:], yc[i], d, n)
             try_update(ws.bobs[t], yv, w)
     if optimize_edges:
         for side, edges, other in (("alice", ws.alice, ws.charlie),
@@ -157,7 +158,7 @@ def _uncached_sweep(ws, table, beta, js, optimize_edges):
                 w = np.zeros((d, d), dtype=complex)
                 for i, row in enumerate(table.central):
                     w += (c[i] * table.signs[i][x]
-                          * edge_slot_matrix(side, operators(row), other_sums[i], d, n))
+                          * edge_slot(side, operators(row), other_sums[i], d, n))
                 try_update(edges, x, w)
     return beta, js
 
