@@ -12,8 +12,7 @@ from __future__ import annotations
 from .errors import (CapacityError, ChainlockError, ConstructionFailedError,
                      DegenerateCertificateError, NumericalConsistencyError, ShapeError,
                      UnsupportedStateError)
-from .scenario import (TermTable, bob_inputs_for_term, build_bob_input_map,
-                       build_encoding, scenario_to_json_dict)
+from .scenario import TermTable, build_bob_input_map, build_encoding, scenario_to_json_dict
 from .nlocal import (Behavior, BoundReport, DeterministicStrategy, alpha_bruteforce,
                      alpha_closed_form, behavior_from_strategy, beta_of_behavior,
                      bound_report, lhv_exhaustive_max)
@@ -29,8 +28,7 @@ __all__ = [
     "CapacityError", "ChainlockError", "ConstructionFailedError",
     "DegenerateCertificateError", "NumericalConsistencyError", "ShapeError",
     "UnsupportedStateError",
-    "TermTable", "bob_inputs_for_term", "build_bob_input_map", "build_encoding",
-    "scenario_to_json_dict",
+    "TermTable", "build_bob_input_map", "build_encoding", "scenario_to_json_dict",
     "Behavior", "BoundReport", "DeterministicStrategy", "alpha_bruteforce",
     "alpha_closed_form", "behavior_from_strategy", "beta_of_behavior",
     "bound_report", "lhv_exhaustive_max",

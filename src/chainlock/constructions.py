@@ -21,7 +21,7 @@ from .qcore import (PAULI_X, PAULI_Y, PAULI_Z, BellChainState, Observable, Quant
                     dichotomic_projection, jordan_wigner_set, kron_all, make_model,
                     random_dichotomic, require_bell_chain, signed_sums, term_expectations)
 from .scenario import build_encoding
-from .soscert import condition_residuals, omega_values, tsirelson_ceiling
+from .soscert import _omegas, condition_residuals, tsirelson_ceiling
 
 SOLVE_RESIDUAL_TOL = 1e-8
 SUPPORTED_N = (2, 3, 4, 5)
@@ -49,15 +49,16 @@ def _explicit_n3() -> QuantumModel:
     This realizes J_i = 2 for every term (beta = 4 sqrt(2)); the equal-term
     target J_i = 3 is not reachable by any model (see module docstring).
     """
-    signs = build_encoding(3).signs
+    table = build_encoding(3)
     flip_y = np.diag([1.0, -1.0, 1.0])  # transpose of a Pauli vector across a Bell link
-    targets = [flip_y @ signs[i] for i in range(4)]
-    bob1, bob2 = [], []
-    for y in (1, 2):
-        left = sum(targets[i] for i in range(4) if (i >> 1) + 1 == y)
-        right = sum(targets[i] for i in range(4) if (i & 1) + 1 == y)
-        bob1.append(kron_all(_pauli_vector(left / np.linalg.norm(left)), PAULI_Z))
-        bob2.append(kron_all(PAULI_Z, _pauli_vector(right / np.linalg.norm(right))))
+    targets = [flip_y @ s for s in table.signs]
+
+    def aligned(t, y):  # unit average of the targets of the terms that read slot (t, y)
+        v = sum(targets[i] for i in np.flatnonzero(table.central[:, t] == y))
+        return _pauli_vector(v / np.linalg.norm(v))
+
+    bob1 = [kron_all(aligned(0, y), PAULI_Z) for y in (0, 1)]
+    bob2 = [kron_all(PAULI_Z, aligned(1, y)) for y in (0, 1)]
     edges = [o.matrix for o in jordan_wigner_set(3)]
     return make_model(3, edges, [bob1, bob2], edges)
 
@@ -75,18 +76,15 @@ def fit_bob_observables(state: BellChainState, edge_observables):
     than a Bell chain raises UnsupportedStateError.
     """
     require_bell_chain(state)
-    layout = state.layout
-    n, d = layout.n, layout.link_dim
+    n, d = state.layout.n, state.layout.link_dim
     table = build_encoding(n)
-    edges = [o.matrix if isinstance(o, Observable) else np.asarray(o, complex)
+    edges = [(o if isinstance(o, Observable) else Observable(o)).matrix
              for o in edge_observables]
     if len(edges) != n or edges[0].shape != (d, d):
         raise ValueError(f"need {n} edge observables of dimension {d}")
     ys = signed_sums(table.signs, edges)
     # omega per term from the actual edge set (equals n for anticommuting sets)
-    model_tmp = make_model(n, edges, [[np.eye(d * d)] * 2] * (n - 1), edges,
-                           qubits_per_half=layout.qubits_per_half)
-    om_a, om_c = omega_values(model_tmp)
+    om_a, om_c = _omegas(state, ys, ys)
     lefts = ys / (np.array(om_a) * np.array(om_c))[:, None, None]
     weights = np.ones(table.terms)
 

@@ -262,16 +262,21 @@ def _real_or_raise(value: complex, what: str) -> float:
     return float(value.real)
 
 
+def _check_inputs(n: int, x: int, bob_inputs, z: int):
+    """The correlators' input contract: 1-based edge inputs and n-1 central inputs."""
+    if not (1 <= x <= n and 1 <= z <= n):
+        raise IndexError(f"edge inputs must lie in 1..{n}")
+    if len(bob_inputs) != n - 1 or any(y not in (1, 2) for y in bob_inputs):
+        raise ShapeError(f"need {n - 1} central inputs from {{1,2}}")
+
+
 def correlator_dense(model: QuantumModel, x: int, bob_inputs, z: int) -> float:
     """<A_x B^1_{y_1} ... B^(n-1)_{y_(n-1)} C_z> by direct statevector application.
 
     x, z and the bob inputs are 1-based, matching the term conventions.
     """
     n, lay = model.n, model.layout
-    if not (1 <= x <= n and 1 <= z <= n):
-        raise IndexError(f"edge inputs must lie in 1..{n}")
-    if len(bob_inputs) != n - 1 or any(y not in (1, 2) for y in bob_inputs):
-        raise ShapeError(f"need {n - 1} central inputs from {{1,2}}")
+    _check_inputs(n, x, bob_inputs, z)
     total = lay.total_qubits
     amp = model.state.amplitudes
     phi = apply_to_slot(amp, model.alice[x - 1].matrix, *lay.alice_slot(), total)
@@ -398,10 +403,7 @@ def correlator_contracted(model: QuantumModel, x: int, bob_inputs, z: int) -> fl
     """Same contract as correlator_dense, evaluated by chain contraction."""
     require_bell_chain(model.state)
     n, d = model.n, model.layout.link_dim
-    if not (1 <= x <= n and 1 <= z <= n):
-        raise IndexError(f"edge inputs must lie in 1..{n}")
-    if len(bob_inputs) != n - 1 or any(y not in (1, 2) for y in bob_inputs):
-        raise ShapeError(f"need {n - 1} central inputs from {{1,2}}")
+    _check_inputs(n, x, bob_inputs, z)
     bob_mats = [model.bobs[t][bob_inputs[t] - 1].matrix for t in range(n - 1)]
     val = chain_expectation(model.alice[x - 1].matrix, bob_mats,
                             model.charlie[z - 1].matrix, d)
@@ -571,7 +573,12 @@ def model_from_json_dict(data: dict) -> QuantumModel:
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ShapeError(f"model field {name!r} is missing or malformed: {exc!r}") from None
 
-    return make_model(field("n", int), field("alice"),
+    def integer(value):  # a JSON integer; bool is an int subclass in Python
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError(f"expected an integer, got {value!r}")
+        return value
+
+    return make_model(field("n", integer), field("alice"),
                       field("bobs", lambda pairs: [[_matrix_from_pairs(m) for m in p]
                                                    for p in pairs]),
-                      field("charlie"), qubits_per_half=field("qubits_per_half", int))
+                      field("charlie"), qubits_per_half=field("qubits_per_half", integer))

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCertificateError
-from .qcore import (QuantumModel, anticommutator_report, beta_quantum, edge_sums,
-                    reduced_density, term_vectors)
+from .qcore import (BellChainState, NetworkState, QuantumModel, anticommutator_report,
+                    beta_quantum, edge_sums, reduced_density, term_vectors)
 
 CERTIFICATE_TOL = 1e-7
 DEGENERATE_TOL = 1e-12
@@ -59,10 +59,10 @@ def tsirelson_ceiling(n: int) -> float:
     return 2 ** (n - 1) * math.sqrt(n)
 
 
-def _omegas(model: QuantumModel, ya, yc) -> tuple[list[float], list[float]]:
+def _omegas(state: NetworkState | BellChainState, ya, yc) -> tuple[list[float], list[float]]:
     """State norms of the given edge sums; warns for each one that vanishes."""
-    rho_a = reduced_density(model.state, *model.layout.alice_slot())
-    rho_c = reduced_density(model.state, *model.layout.charlie_slot())
+    rho_a = reduced_density(state, *state.layout.alice_slot())
+    rho_c = reduced_density(state, *state.layout.charlie_slot())
     omega_a = [math.sqrt(max(0.0, float(np.trace(rho_a @ (y @ y)).real))) for y in ya]
     omega_c = [math.sqrt(max(0.0, float(np.trace(rho_c @ (y @ y)).real))) for y in yc]
     for label, values in (("A", omega_a), ("C", omega_c)):
@@ -75,7 +75,7 @@ def _omegas(model: QuantumModel, ya, yc) -> tuple[list[float], list[float]]:
 
 def omega_values(model: QuantumModel) -> tuple[list[float], list[float]]:
     """omega^A_i = ||Y^A_i |psi>|| and omega^C_i likewise, via reduced states."""
-    return _omegas(model, *edge_sums(model.n, model.alice, model.charlie))
+    return _omegas(model.state, *edge_sums(model.n, model.alice, model.charlie))
 
 
 def _residuals(model: QuantumModel, ya, yc, omega_a, omega_c) -> list[float]:
@@ -92,14 +92,14 @@ def _residuals(model: QuantumModel, ya, yc, omega_a, omega_c) -> list[float]:
 def condition_residuals(model: QuantumModel) -> list[float]:
     """|| B_i|psi> - (Y^A_i (x) Y^C_i / omega_i)|psi> || for every term, dense."""
     ya, yc = edge_sums(model.n, model.alice, model.charlie)
-    return _residuals(model, ya, yc, *_omegas(model, ya, yc))
+    return _residuals(model, ya, yc, *_omegas(model.state, ya, yc))
 
 
 def certify(model: QuantumModel, tol: float = CERTIFICATE_TOL) -> CertificateReport:
     """Full certificate: omega values, tau, beta, gap, residuals, anticommutators."""
     n = model.n
     ya, yc = edge_sums(n, model.alice, model.charlie)
-    omega_a, omega_c = _omegas(model, ya, yc)
+    omega_a, omega_c = _omegas(model.state, ya, yc)
     tau = sum(math.sqrt(a * c) for a, c in zip(omega_a, omega_c))
     beta, _ = beta_quantum(model)
     residuals = _residuals(model, ya, yc, omega_a, omega_c)

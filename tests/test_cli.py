@@ -115,12 +115,20 @@ def _bad_entries_model():
     return data
 
 
+def _optimal_n2_with(**fields):
+    # int() would accept 2.7, "2" or True and certify a model the file does not describe
+    return json.dumps({**model_to_json_dict(optimal_model(2)), **fields})
+
+
 @pytest.mark.parametrize("text", ["{}", "[1, 2]", json.dumps(_bad_entries_model()),
-                                  '{"n": 1e400}'],
-                         ids=["empty-object", "list", "row-not-pairs", "n-overflows"])
+                                  '{"n": 1e400}', _optimal_n2_with(n=2.7),
+                                  _optimal_n2_with(n="2"), _optimal_n2_with(qubits_per_half=1.9),
+                                  _optimal_n2_with(qubits_per_half=True)],
+                         ids=["empty-object", "list", "row-not-pairs", "n-overflows",
+                              "n-float", "n-string", "qubits-float", "qubits-bool"])
 def test_certify_malformed_model_exits_1(tmp_path, capsys, text):
     path = tmp_path / "model.json"
-    path.write_text(text)  # 1e400 parses as inf, and int(inf) overflows
+    path.write_text(text)  # 1e400 parses as inf, which is not an integer
     code, out, err = run_cli(capsys, "certify", "--model", str(path))
     assert code == 1
     assert out == ""

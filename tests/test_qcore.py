@@ -130,12 +130,18 @@ def test_correlator_dense_examples():
     assert correlator_dense(ident, 1, (1,), 2) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_correlator_input_validation():
+@pytest.mark.parametrize("correlator", [correlator_dense, correlator_contracted],
+                         ids=["dense", "contracted"])
+def test_correlator_input_validation(correlator):
     model = zz_xx_model()
     with pytest.raises(IndexError):
-        correlator_dense(model, 3, (1,), 1)
+        correlator(model, 3, (1,), 1)
+    with pytest.raises(IndexError):
+        correlator(model, 1, (1,), 0)
     with pytest.raises(ShapeError):
-        correlator_dense(model, 1, (1, 1), 1)
+        correlator(model, 1, (1, 1), 1)
+    with pytest.raises(ShapeError):
+        correlator(model, 1, (3,), 1)
 
 
 @pytest.mark.parametrize("n,m", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2)])
@@ -244,12 +250,12 @@ def test_dense_term_values_match_correlator_sums(n, m):
     # the per-term kernel against the n^2 correlators it replaces, and
     # against the contracted evaluator
     from chainlock.qcore import term_values
-    from chainlock.scenario import build_encoding
+    from chainlock.scenario import build_bob_input_map, build_encoding
     model = random_model_mats(n, m, np.random.default_rng(700 + 10 * n + m))
-    table = build_encoding(n)
-    want = [sum(s[x - 1] * s[z - 1] * correlator_dense(model, x, table.bob_inputs(i + 1), z)
+    inputs = build_bob_input_map(n)
+    want = [sum(s[x - 1] * s[z - 1] * correlator_dense(model, x, inputs[i], z)
                 for x in range(1, n + 1) for z in range(1, n + 1))
-            for i, s in enumerate(table.signs)]
+            for i, s in enumerate(build_encoding(n).signs)]
     dense = term_values(model, evaluator="dense")
     assert np.max(np.abs(dense - want)) < 1e-12
     assert np.max(np.abs(dense - term_values(model, evaluator="contracted"))) < 1e-9

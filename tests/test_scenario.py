@@ -3,17 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainlock.scenario import (bob_inputs_for_term, build_bob_input_map, build_encoding,
-                                scenario_to_json_dict)
+from chainlock.scenario import build_bob_input_map, build_encoding, scenario_to_json_dict
 
 
 def test_scenario_counts():
     sc = build_encoding(5)
-    assert sc.edge_inputs == 5
-    assert sc.central_parties == 4
-    assert sc.central_inputs == 2
-    assert sc.outcomes == 2
     assert sc.terms == 16
+    # n edge inputs per sign row, n-1 central parties with 2 inputs each
+    assert sc.signs.shape == (16, 5) and sc.signs.dtype == np.int64
+    assert sc.central.shape == (16, 4) and sc.central.dtype == np.int64
+    assert set(np.unique(sc.central)) == {0, 1}
 
 
 def test_scenario_too_small():
@@ -26,13 +25,13 @@ def test_scenario_too_small():
 def test_encoding_n2():
     enc = build_encoding(2)
     assert enc.signs.tolist() == [[1, 1], [1, -1]]
-    assert enc.bitstrings == ("00", "01")
+    assert enc.central.tolist() == [[0], [1]]
 
 
 def test_encoding_n3():
     enc = build_encoding(3)
     assert enc.signs.tolist() == [[1, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1]]
-    assert enc.bitstrings == ("000", "001", "010", "011")
+    assert enc.central.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
 
 
 def test_encoding_n3_matches_published_rows_up_to_global_sign():
@@ -56,14 +55,15 @@ def test_encoding_n4_all_distinct_first_plus():
 def test_rows_with_negations_cover_hypercube(n):
     enc = build_encoding(n)
     rows = {tuple(r) for r in enc.signs.tolist()}
-    rows |= {tuple((-enc.signs[i]).tolist()) for i in range(len(enc.bitstrings))}
+    rows |= {tuple((-enc.signs[i]).tolist()) for i in range(enc.terms)}
     assert len(rows) == 2 ** n
 
 
 def test_bob_inputs_examples():
-    assert bob_inputs_for_term(3, 1) == (1, 1)
-    assert bob_inputs_for_term(3, 2) == (1, 2)
-    assert bob_inputs_for_term(4, 8) == (2, 2, 2)
+    assert build_bob_input_map(3)[0] == (1, 1)
+    assert build_bob_input_map(3)[1] == (1, 2)
+    assert build_bob_input_map(4)[7] == (2, 2, 2)
+    assert build_encoding(4).central[7].tolist() == [1, 1, 1]
 
 
 def test_bob_inputs_first_and_last_rows():
@@ -74,18 +74,10 @@ def test_bob_inputs_first_and_last_rows():
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_bob_inputs_bijection(n):
-    rows = {bob_inputs_for_term(n, i) for i in range(1, 2 ** (n - 1) + 1)}
+    rows = set(build_bob_input_map(n))
     assert len(rows) == 2 ** (n - 1)
     assert all(len(r) == n - 1 and set(r) <= {1, 2} for r in rows)
-
-
-def test_term_index_out_of_range():
-    with pytest.raises(IndexError):
-        bob_inputs_for_term(3, 0)
-    with pytest.raises(IndexError):
-        bob_inputs_for_term(3, 5)
-    with pytest.raises(IndexError):
-        build_encoding(3).row(5)
+    assert len({tuple(r) for r in build_encoding(n).central.tolist()}) == 2 ** (n - 1)
 
 
 @given(st.integers(min_value=2, max_value=10), st.data())
@@ -93,14 +85,24 @@ def test_term_index_out_of_range():
 def test_row_is_signed_bitstring(n, data):
     enc = build_encoding(n)
     i = data.draw(st.integers(min_value=1, max_value=2 ** (n - 1)))
-    bits = enc.bitstrings[i - 1]
-    assert bits[0] == "0"
-    assert int(bits, 2) == i - 1
-    assert [1 - 2 * int(b) for b in bits] == enc.row(i).tolist()
-    # the central inputs of every term are its sign row's trailing bits, plus 1
-    assert bob_inputs_for_term(n, i) == tuple(int(b) + 1 for b in bits[1:])
+    bits = format(i - 1, f"0{n}b")  # term i's length-n bit string, first bit 0
+    assert len(bits) == n and bits[0] == "0"
+    assert [1 - 2 * int(b) for b in bits] == enc.signs[i - 1].tolist()
+    # the central inputs of every term are its sign row's trailing bits
+    assert enc.central[i - 1].tolist() == [int(b) for b in bits[1:]]
+    assert build_bob_input_map(n)[i - 1] == tuple(int(b) + 1 for b in bits[1:])
     assert build_bob_input_map(n) == tuple(
         tuple((1 - int(s)) // 2 + 1 for s in row[1:]) for row in enc.signs)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_table_matches_loop_reference(n):
+    # the table as a Python loop over bit strings: the reference for the numpy build
+    bits = [[int(b) for b in format(i, f"0{n}b")] for i in range(2 ** (n - 1))]
+    enc = build_encoding(n)
+    assert enc.signs.dtype == enc.central.dtype == np.int64
+    assert enc.signs.tolist() == [[1 - 2 * b for b in row] for row in bits]
+    assert enc.central.tolist() == [row[1:] for row in bits]
 
 
 def test_scenario_json_shape():
@@ -118,3 +120,5 @@ def test_encoding_rows_immutable(n):
     assert build_encoding(n) is enc
     with pytest.raises(ValueError):
         enc.signs[0, 0] = -1
+    with pytest.raises(ValueError):
+        enc.central[0, 0] = 1
