@@ -6,11 +6,16 @@ Three independent routes to the same number:
     functional at every one of the 2^n sign assignments, exact integers.
   * ``lhv_exhaustive_max`` -- full deterministic-strategy search at the
     behavior level (small n), going through explicit probability tables.
+    The search is batched: a run of strategy indices becomes one stack of
+    tables, each checked like a ``Behavior``, and one product with the
+    outcome-sign weights gives the correlators of the whole stack.  A single
+    strategy or behavior is the one-table case of the same code.
 """
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -22,6 +27,7 @@ from .scenario import build_encoding
 
 BRUTEFORCE_MAX_N = 24
 EXHAUSTIVE_MAX_N = 4
+_TABLE_STACK_BYTES = 1 << 22  # 4 MB of float64 tables per search batch: 128 at n = 4
 
 
 @dataclass(frozen=True)
@@ -37,6 +43,8 @@ class DeterministicStrategy:
     bobs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if any(len(pair) != 2 for pair in self.bobs):
+            raise ShapeError("each central party needs exactly 2 signs")
         for group in (self.alice, self.charlie, *self.bobs):
             if any(v not in (-1, 1) for v in group):
                 raise ValueError("strategy entries must be +1 or -1")
@@ -49,7 +57,16 @@ class DeterministicStrategy:
         }
 
 
-@dataclass(frozen=True)
+def _check_probabilities(tables: np.ndarray) -> None:
+    """Every table in a stack (trailing axes a, b, c, x, k, z) is a behavior."""
+    if np.any(tables < 0):
+        raise ValueError("behavior has negative probabilities")
+    sums = tables.sum(axis=(-6, -5, -4))
+    if not np.allclose(sums, 1.0, atol=1e-12):
+        raise ValueError("behavior is not normalized per input tuple")
+
+
+@dataclass(frozen=True, eq=False)
 class Behavior:
     """Joint conditional probability table P(a, b_vec, c | x, y_vec, z).
 
@@ -66,11 +83,7 @@ class Behavior:
         if t.shape != (2, half, 2, self.n, half, self.n):
             raise ShapeError(f"behavior table has shape {t.shape}, expected "
                              f"{(2, half, 2, self.n, half, self.n)}")
-        if np.any(t < 0):
-            raise ValueError("behavior has negative probabilities")
-        sums = t.sum(axis=(0, 1, 2))
-        if not np.allclose(sums, 1.0, atol=1e-12):
-            raise ValueError("behavior is not normalized per input tuple")
+        _check_probabilities(t)
 
 
 @dataclass(frozen=True)
@@ -139,7 +152,8 @@ def assignment_scores(n: int) -> np.ndarray:
     indicator[: size // 2] = 1  # first bit 0 <=> index < 2^(n-1)
     prod = _walsh_hadamard(indicator) * _walsh_hadamard(g)
     conv = _walsh_hadamard(prod)
-    assert np.all(conv % size == 0)
+    if np.any(conv % size):
+        raise AssertionError("Walsh-Hadamard convolution is not divisible by 2^n")
     return conv // size
 
 
@@ -172,39 +186,78 @@ def _input_grids(n: int):
     return np.meshgrid(np.arange(n), np.arange(2 ** (n - 1)), np.arange(n), indexing="ij")
 
 
+def _behavior_tables(n: int, idx) -> np.ndarray:
+    """Deterministic tables of strategies ``idx``, stacked as (B, 2, half, 2, n, half, n).
+
+    Strategy bits are read as in ``_strategy_from_index``; an outcome bit is
+    the strategy bit (sign -1 <-> outcome 1).  Each table is checked like a
+    ``Behavior``.
+    """
+    idx = np.asarray(idx, dtype=np.int64)
+    half, nbits = 2 ** (n - 1), 4 * n - 2
+    bits = (idx[:, None] >> np.arange(nbits - 1, -1, -1)) & 1
+    a_bits, c_bits = bits[:, :n], bits[:, n:2 * n]
+    bob_bits = bits[:, 2 * n:].reshape(len(idx), n - 1, 2)
+    # answers[s, k, m]: central party m's outcome bit in term k, packed big-endian
+    answers = bob_bits[:, np.arange(n - 1), build_encoding(n).central]
+    b_packed = answers @ (1 << np.arange(n - 2, -1, -1))
+    tables = np.zeros((len(idx), 2, half, 2, n, half, n))
+    xx, kk, zz = _input_grids(n)
+    ss = np.arange(len(idx))[:, None, None, None]
+    tables[ss, a_bits[:, xx], b_packed[:, kk], c_bits[:, zz], xx, kk, zz] = 1.0
+    _check_probabilities(tables)
+    return tables
+
+
+@functools.lru_cache(maxsize=None)
+def _beta_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome-sign weights (-1)^(a + |b| + c), flat, and each term's sign products.
+
+    The second array is s_i[x] s_i[z] at [x, i, z], in the correlators' layout.
+    """
+    half = 2 ** (n - 1)
+    parity_b = (-1.0) ** np.array([bin(b).count("1") for b in range(half)])
+    sign_a = np.array([1.0, -1.0])
+    weights = np.einsum("a,b,c->abc", sign_a, parity_b, sign_a).ravel()
+    signs = build_encoding(n).signs.astype(float)
+    return weights, np.einsum("ix,iz->xiz", signs, signs)
+
+
+def _betas(n: int, tables: np.ndarray) -> np.ndarray:
+    """beta = sum_i sqrt(|s_i E_i s_i|) for every table of a (B, ...) stack.
+
+    E[x, k, z] = sum_{a,b,c} (-1)^(a + |b| + c) P(a,b,c|x,k,z) comes from one
+    product with the sign weights.  The square roots are added in term order.
+    """
+    weights, products = _beta_weights(n)
+    half = 2 ** (n - 1)
+    corr = (weights @ tables.reshape(len(tables), 4 * half, -1)).reshape(-1, n, half, n)
+    roots = np.sqrt(np.abs(np.einsum("xiz,sxiz->si", products, corr)))
+    beta = np.zeros(len(tables))
+    for i in range(half):
+        beta += roots[:, i]
+    return beta
+
+
+def _index_from_strategy(strategy: DeterministicStrategy) -> int:
+    """Inverse of ``_strategy_from_index``."""
+    idx = 0
+    for s in (*strategy.alice, *strategy.charlie, *(s for pair in strategy.bobs for s in pair)):
+        idx = 2 * idx + (1 - s) // 2
+    return idx
+
+
 def behavior_from_strategy(strategy: DeterministicStrategy, n: int) -> Behavior:
     """Deterministic behavior: probability 1 on the outputs the strategy dictates."""
     if (len(strategy.alice) != n or len(strategy.charlie) != n
             or len(strategy.bobs) != n - 1):
         raise ShapeError(f"strategy dimensions do not match n={n}")
-    half = 2 ** (n - 1)
-    table = np.zeros((2, half, 2, n, half, n))
-    a_bits = np.array([(1 - s) // 2 for s in strategy.alice])
-    c_bits = np.array([(1 - s) // 2 for s in strategy.charlie])
-    central = build_encoding(n).central
-    b_packed = np.empty(half, dtype=np.int64)
-    for k in range(half):
-        bits = [(1 - strategy.bobs[m][y]) // 2 for m, y in enumerate(central[k])]
-        b_packed[k] = int("".join(str(b) for b in bits), 2) if bits else 0
-    xx, kk, zz = _input_grids(n)
-    table[a_bits[xx], b_packed[kk], c_bits[zz], xx, kk, zz] = 1.0
-    return Behavior(n=n, table=table)
+    return Behavior(n=n, table=_behavior_tables(n, [_index_from_strategy(strategy)])[0])
 
 
 def beta_of_behavior(behavior: Behavior) -> float:
     """beta = sum_i sqrt(|J_i|) evaluated on an explicit behavior."""
-    n = behavior.n
-    signs = build_encoding(n).signs
-    half = 2 ** (n - 1)
-    parity_b = np.array([(-1.0) ** bin(b).count("1") for b in range(half)])
-    sign_a = np.array([1.0, -1.0])
-    # E[x, k, z] = sum_{a,b,c} (-1)^(a + |b| + c) P(a,b,c|x,k,z)
-    corr = np.einsum("a,b,c,abcxkz->xkz", sign_a, parity_b, sign_a, behavior.table)
-    beta = 0.0
-    for i in range(half):
-        s = signs[i].astype(float)
-        beta += math.sqrt(abs(s @ corr[:, i, :] @ s))
-    return beta
+    return float(_betas(behavior.n, behavior.table[None])[0])
 
 
 def _strategy_from_index(n: int, idx: int) -> DeterministicStrategy:
@@ -221,12 +274,15 @@ def _strategy_from_index(n: int, idx: int) -> DeterministicStrategy:
 def _search_range(args: tuple[int, int, int]) -> tuple[float, int]:
     """Best (beta, first index) over a contiguous range of strategy indices."""
     n, start, stop = args
+    half = 2 ** (n - 1)
+    table_bytes = 8 * (2 * half * 2) * (n * half * n)
+    batch = max(1, _TABLE_STACK_BYTES // table_bytes)
     best, best_idx = -1.0, -1
-    for idx in range(start, stop):
-        s = _strategy_from_index(n, idx)
-        beta = beta_of_behavior(behavior_from_strategy(s, n))
-        if beta > best + 1e-12:
-            best, best_idx = beta, idx
+    for lo in range(start, stop, batch):
+        idx = np.arange(lo, min(lo + batch, stop))
+        for i, beta in zip(idx.tolist(), _betas(n, _behavior_tables(n, idx)).tolist()):
+            if beta > best + 1e-12:
+                best, best_idx = beta, i
     return best, best_idx
 
 
@@ -234,10 +290,13 @@ def lhv_exhaustive_max(n: int, threads: int = 1) -> BoundReport:
     """Maximize beta over every deterministic strategy, via explicit behaviors.
 
     The search space is 2^(2n) * 4^(n-1) strategies; supported for n in 2..4.
-    The worker count is capped at the CPU count.  The result is independent
+    ``threads`` must be an integer >= 1 (``ValueError`` otherwise), as on the
+    command line; the worker count is capped at the CPU count.  The result is independent
     of it: chunks are reduced in order and ties keep the lexicographically
     first witness.
     """
+    if isinstance(threads, bool) or not isinstance(threads, numbers.Integral) or threads < 1:
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     if not 2 <= n <= EXHAUSTIVE_MAX_N:
         raise CapacityError(
             f"lhv_exhaustive_max supports 2 <= n <= {EXHAUSTIVE_MAX_N}, got {n}")

@@ -42,7 +42,7 @@ def kron_all(*ops: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Observable:
     """Hermitian dichotomic operator (eigenvalues +-1)."""
 
@@ -113,7 +113,7 @@ def default_layout(n: int, qubits_per_half: int | None = None) -> ChainLayout:
     return ChainLayout(n=n, qubits_per_half=qubits_per_half)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkState:
     """An arbitrary chain state given by its explicit amplitudes."""
 
@@ -160,7 +160,7 @@ def bell_chain_state(n: int, qubits_per_half: int | None = None) -> BellChainSta
     return BellChainState(default_layout(n, qubits_per_half))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumModel:
     state: NetworkState | BellChainState
     alice: tuple[Observable, ...]

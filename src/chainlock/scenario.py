@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TermTable:
     """The correlator terms of an n-source chain, one bit string b per term.
 

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -5,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainlock import nlocal
 from chainlock.errors import CapacityError, ShapeError
-from chainlock.nlocal import (Behavior, DeterministicStrategy, _walsh_hadamard,
+from chainlock.nlocal import (Behavior, DeterministicStrategy, _behavior_tables, _betas,
+                              _search_range, _strategy_from_index, _walsh_hadamard,
                               alpha_bruteforce, alpha_closed_form, assignment_scores, behavior_from_strategy,
                               beta_of_behavior, bound_report, lhv_exhaustive_max)
 from chainlock.scenario import build_encoding
@@ -180,10 +183,81 @@ def test_lhv_exhaustive_small(n, value):
 
 
 def test_lhv_exhaustive_threads_agree():
-    serial = lhv_exhaustive_max(3, threads=1)
-    parallel = lhv_exhaustive_max(3, threads=2)
-    assert serial.lhv_max == parallel.lhv_max
+    serial = lhv_exhaustive_max(4, threads=1)
+    parallel = lhv_exhaustive_max(4, threads=2)
+    assert serial.lhv_max == parallel.lhv_max == 12
     assert serial.witness == parallel.witness
+
+
+@pytest.mark.parametrize("threads", [0, -5, 2.0, True])
+def test_lhv_exhaustive_rejects_bad_threads(threads):
+    with pytest.raises(ValueError, match="threads"):
+        lhv_exhaustive_max(2, threads=threads)
+
+
+def reference_table(strategy, n):
+    """One strategy's table, built per term by joining bit strings."""
+    half = 2 ** (n - 1)
+    table = np.zeros((2, half, 2, n, half, n))
+    central = build_encoding(n).central
+    for x in range(n):
+        for k in range(half):
+            bits = [(1 - strategy.bobs[m][y]) // 2 for m, y in enumerate(central[k])]
+            b = int("".join(str(v) for v in bits), 2)
+            for z in range(n):
+                table[(1 - strategy.alice[x]) // 2, b, (1 - strategy.charlie[z]) // 2, x, k, z] = 1.0
+    return table
+
+
+def reference_beta(table, n):
+    """beta of one table: one einsum for the correlators, a loop over terms."""
+    half = 2 ** (n - 1)
+    parity_b = np.array([(-1.0) ** bin(b).count("1") for b in range(half)])
+    sign_a = np.array([1.0, -1.0])
+    corr = np.einsum("a,b,c,abcxkz->xkz", sign_a, parity_b, sign_a, table)
+    beta = 0.0
+    for i, row in enumerate(build_encoding(n).signs):
+        s = row.astype(float)
+        beta += math.sqrt(abs(s @ corr[:, i, :] @ s))
+    return beta
+
+
+@pytest.mark.parametrize("n,stride", [(2, 1), (3, 1), (4, 37)])
+def test_batched_tables_and_betas_match_reference(n, stride):
+    # deterministic correlators are exactly +-1 and every J_i an exact integer,
+    # so the stacked route and the one-table functions agree bit for bit
+    idx = np.arange(0, 2 ** (4 * n - 2), stride)
+    tables = _behavior_tables(n, idx)
+    betas = _betas(n, tables)
+    for row, i in enumerate(idx.tolist()):
+        strategy = _strategy_from_index(n, i)
+        ref = reference_table(strategy, n)
+        assert np.array_equal(tables[row], ref)
+        assert np.array_equal(behavior_from_strategy(strategy, n).table, ref)
+        beta = reference_beta(ref, n)
+        assert betas[row] == beta
+        assert beta_of_behavior(behavior_from_strategy(strategy, n)) == beta
+
+
+@pytest.fixture(scope="module")
+def reference_betas_n3():
+    return [reference_beta(reference_table(_strategy_from_index(3, i), 3), 3) for i in range(1024)]
+
+
+@pytest.mark.parametrize("stack_bytes", [nlocal._TABLE_STACK_BYTES, 7 * 576 * 8])
+def test_search_range_split_matches_reference(monkeypatch, reference_betas_n3, stack_bytes):
+    # n=3 tables hold 576 entries; the second stack size makes batches of 7,
+    # so range ends fall inside batches either way
+    monkeypatch.setattr(nlocal, "_TABLE_STACK_BYTES", stack_bytes)
+    cuts = (0, 1, 5, 300, 511, 512, 1000, 1024)
+    best, best_idx = -1.0, -1
+    for lo, hi in zip(cuts, cuts[1:]):
+        part = reference_betas_n3[lo:hi]
+        b, i = _search_range((3, lo, hi))
+        assert (b, i) == (max(part), lo + part.index(max(part)))
+        if b > best + 1e-12:
+            best, best_idx = b, i
+    assert (best, best_idx) == _search_range((3, 0, 1024))
 
 
 def test_lhv_exhaustive_capacity():
@@ -194,6 +268,25 @@ def test_lhv_exhaustive_capacity():
 def test_strategy_validation():
     with pytest.raises(ValueError):
         DeterministicStrategy(alice=(1, 0), charlie=(1, 1), bobs=((1, 1),))
+
+
+@pytest.mark.parametrize("pair", [(1, 1, -1), (1,)])
+def test_strategy_central_pair_length(pair):
+    with pytest.raises(ShapeError):
+        DeterministicStrategy(alice=(1, 1), charlie=(1, 1), bobs=(pair,))
+
+
+def test_behavior_hash_and_equality_are_identity():
+    b = behavior_from_strategy(_strategy_from_index(2, 5), 2)
+    hash(b)
+    assert b == b
+    assert (b == copy.copy(b)) is False
+
+
+def test_assignment_scores_checks_divisibility(monkeypatch):
+    monkeypatch.setattr(nlocal, "_walsh_hadamard", lambda v: np.ones_like(v))
+    with pytest.raises(AssertionError, match="divisible"):
+        assignment_scores(3)
 
 
 def test_alpha_even_for_even_n():

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,18 @@ def random_model_mats(n, m, rng):
     charlie = [random_dichotomic(d, rng) for _ in range(n)]
     bobs = [[random_dichotomic(d * d, rng) for _ in range(2)] for _ in range(n - 1)]
     return make_model(n, alice, bobs, charlie, qubits_per_half=m)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Observable(PAULI_X),
+    lambda: NetworkState(bell_chain_state(2, 1).amplitudes, default_layout(2, 1)),
+    zz_xx_model,
+], ids=["observable", "network_state", "model"])
+def test_array_holders_hash_and_compare_by_identity(make):
+    value = make()
+    hash(value)
+    assert value == value
+    assert (value == copy.copy(value)) is False
 
 
 def test_observable_validation():

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -122,3 +124,10 @@ def test_encoding_rows_immutable(n):
         enc.signs[0, 0] = -1
     with pytest.raises(ValueError):
         enc.central[0, 0] = 1
+
+
+def test_table_hash_and_equality_are_identity():
+    enc = build_encoding(3)
+    hash(enc)
+    assert enc == build_encoding(3)
+    assert (enc == copy.copy(enc)) is False
