@@ -1,7 +1,9 @@
 """Command-line front end: reproducible experiments with JSON/CSV output.
 
 Exit codes: 0 success, 1 computation failure (failed construction, failed
-certification, unmet --require-certified, failed allocation), 2 usage error.
+certification, unmet --require-certified, failed allocation), 2 usage error
+(bad options, or an n past a command's limit, such as ``bound --n`` above
+BRUTEFORCE_MAX_N, or above EXHAUSTIVE_MAX_N with --exhaustive).
 Errors print as single-line JSON objects on stderr.
 """
 from __future__ import annotations
@@ -13,7 +15,8 @@ import sys
 
 from .constructions import optimal_model
 from .errors import CapacityError, ChainlockError, ConstructionFailedError
-from .nlocal import alpha_closed_form, bound_report, lhv_exhaustive_max
+from .nlocal import (BRUTEFORCE_MAX_N, EXHAUSTIVE_MAX_N, alpha_closed_form, bound_report,
+                     lhv_exhaustive_max)
 from .qcore import beta_quantum, model_from_json_dict, model_to_json_dict
 from .scenario import scenario_to_json_dict
 from .seesaw import SeesawConfig, seesaw_optimize
@@ -72,6 +75,10 @@ def _cmd_bound(args) -> int:
     if args.dump_scenario:
         _emit(scenario_to_json_dict(args.n), args.out)
         return 0
+    command, limit = (("bound --exhaustive", EXHAUSTIVE_MAX_N) if args.exhaustive
+                      else ("bound", BRUTEFORCE_MAX_N))
+    if args.n > limit:
+        return _fail(f"{command} supports n <= {limit}, got {args.n}", USAGE_ERROR)
     if args.exhaustive:
         threads = args.threads
         if threads is None:

@@ -115,21 +115,38 @@ def alpha_closed_form(n: int) -> int:
     return n * math.comb(n - 1, (n - 1) // 2)
 
 
-def _walsh_hadamard(v: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform of a length-2^n vector, into a copy.
+def _butterflies(w: np.ndarray, h: int) -> None:
+    """Butterfly levels h, 2h, ... of the flat array w, in place.
 
-    Each level is one butterfly done in place on the copy's (-1, 2, h) view.
+    Each level maps (top, bot) to (top + bot, top - bot) on the (-1, 2, h)
+    view, without a temporary: bot becomes (top + bot) - 2 bot.
     """
-    v = v.copy()
-    h = 1
-    while h < v.shape[0]:
-        pairs = v.reshape(-1, 2, h)
+    while h < w.shape[0]:
+        pairs = w.reshape(-1, 2, h)
         top, bot = pairs[:, 0, :], pairs[:, 1, :]
-        diff = top - bot
         top += bot
-        bot[...] = diff
+        bot *= 2
+        np.subtract(top, bot, out=bot)
         h *= 2
-    return v
+
+
+def _walsh_hadamard(v: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of a length-2^n vector, into a new array.
+
+    The transform is H_R (x) H_C on v's (R, C) view, R = 2^(n - n//2) and
+    C = 2^(n//2).  A transposed copy puts the low (column) bits on top, where
+    their butterflies run on rows at least R long; a second transpose puts
+    the row bits back on top for theirs, and restores the natural order.
+    No level works on rows shorter than min(R, C).  The dtype of v is kept.
+    """
+    size = v.shape[0]
+    low = (size.bit_length() - 1) // 2
+    rows, cols = size >> low, 1 << low
+    w = v.reshape(rows, cols).T.copy().ravel()
+    _butterflies(w, rows)
+    w = w.reshape(cols, rows).T.copy().ravel()
+    _butterflies(w, cols)
+    return w
 
 
 def assignment_scores(n: int) -> np.ndarray:
@@ -140,29 +157,38 @@ def assignment_scores(n: int) -> np.ndarray:
     so f is the XOR-convolution of the row indicator with |n - 2*popcount|,
     which three Walsh-Hadamard transforms compute in O(n 2^n) exact integer
     arithmetic.  Index bit for input x sits at position n-1-x (first input is
-    the most significant bit); bit 0 means sign +1.
+    the most significant bit); bit 0 means sign +1.  Supported for
+    2 <= n <= BRUTEFORCE_MAX_N.
     """
-    size = 2 ** n
-    index = np.arange(size)
-    popcount = np.zeros(size, dtype=np.int64)
-    for b in range(n):
-        popcount += (index >> b) & 1
-    g = np.abs(n - 2 * popcount)
-    indicator = np.zeros(size, dtype=np.int64)
-    indicator[: size // 2] = 1  # first bit 0 <=> index < 2^(n-1)
-    prod = _walsh_hadamard(indicator) * _walsh_hadamard(g)
-    conv = _walsh_hadamard(prod)
-    if np.any(conv % size):
-        raise AssertionError("Walsh-Hadamard convolution is not divisible by 2^n")
-    return conv // size
-
-
-def alpha_bruteforce(n: int) -> tuple[int, tuple[int, ...]]:
-    """Exact maximum of the edge-assignment functional and its first maximizer."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if n > BRUTEFORCE_MAX_N:
         raise CapacityError(f"alpha_bruteforce supports n <= {BRUTEFORCE_MAX_N}, got {n}")
+    size = 1 << n
+    # The first two transforms run in int32: every butterfly entry is a +-1 sum
+    # of the inputs, at most sum|g| <= n 2^n, and the doubled bottom half at
+    # most 2 n 2^n < 2^31 for n <= BRUTEFORCE_MAX_N (a test pins this).  The
+    # product and the third transform, whose output is 2^n f, run in int64.
+    g = np.bitwise_count(np.arange(size, dtype=np.int32)).astype(np.int32)
+    g *= -2
+    g += n
+    np.abs(g, out=g)
+    prod = _walsh_hadamard(g).astype(np.int64)
+    del g
+    indicator = np.zeros(size, dtype=np.int32)
+    indicator[: size // 2] = 1  # first bit 0 <=> index < 2^(n-1)
+    prod *= _walsh_hadamard(indicator)
+    del indicator
+    conv = _walsh_hadamard(prod)
+    del prod
+    if np.any(conv & (size - 1)):
+        raise AssertionError("Walsh-Hadamard convolution is not divisible by 2^n")
+    conv >>= n
+    return conv
+
+
+def alpha_bruteforce(n: int) -> tuple[int, tuple[int, ...]]:
+    """Exact maximum of the edge-assignment functional and its first maximizer."""
     scores = assignment_scores(n)
     idx = int(np.argmax(scores))
     witness = tuple(1 - 2 * ((idx >> (n - 1 - x)) & 1) for x in range(n))
@@ -216,7 +242,7 @@ def _beta_weights(n: int) -> tuple[np.ndarray, np.ndarray]:
     The second array is s_i[x] s_i[z] at [x, i, z], in the correlators' layout.
     """
     half = 2 ** (n - 1)
-    parity_b = (-1.0) ** np.array([bin(b).count("1") for b in range(half)])
+    parity_b = (-1.0) ** np.bitwise_count(np.arange(half))
     sign_a = np.array([1.0, -1.0])
     weights = np.einsum("a,b,c->abc", sign_a, parity_b, sign_a).ravel()
     signs = build_encoding(n).signs.astype(float)

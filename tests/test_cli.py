@@ -39,6 +39,16 @@ def test_bound_usage_error(capsys):
         assert code == 2
 
 
+@pytest.mark.parametrize("argv", [["--n", "25"], ["--n", "5", "--exhaustive"]])
+def test_bound_past_limit_is_usage_error(capsys, argv):
+    # BRUTEFORCE_MAX_N and EXHAUSTIVE_MAX_N are checked before any computation
+    code, out, err = run_cli(capsys, "bound", *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "supports n <=" in json.loads(err)["error"]
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "bound")  # missing --n
     assert code == 2

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from chainlock import nlocal
 from chainlock.errors import CapacityError, ShapeError
-from chainlock.nlocal import (Behavior, DeterministicStrategy, _behavior_tables, _betas,
+from chainlock.nlocal import (BRUTEFORCE_MAX_N, Behavior, DeterministicStrategy,
+                              _behavior_tables, _betas,
                               _search_range, _strategy_from_index, _walsh_hadamard,
                               alpha_bruteforce, alpha_closed_form, assignment_scores, behavior_from_strategy,
                               beta_of_behavior, bound_report, lhv_exhaustive_max)
@@ -50,17 +51,67 @@ def test_bruteforce_against_naive_oracle(n):
     assert scores.tolist() == naive_assignment_scores(n)
 
 
-@pytest.mark.parametrize("n", range(1, 11))
-def test_walsh_hadamard_matches_hadamard_matrix(n):
-    h = np.array([[1]], dtype=np.int64)
+def sylvester_product(n, v):
+    """H_n @ v with H_n the Sylvester-Hadamard matrix, built by Kronecker products.
+
+    H_n is held as int8 and multiplied in blocks of rows, so n = 12 needs 16 MB.
+    """
+    h = np.ones((1, 1), dtype=np.int8)
     for _ in range(n):
-        h = np.kron(h, np.array([[1, 1], [1, -1]], dtype=np.int64))
-    v = np.random.default_rng(n).integers(-1000, 1000, size=2 ** n, dtype=np.int64)
-    before = v.copy()
-    got = _walsh_hadamard(v)
-    assert got.dtype == np.int64
-    assert np.array_equal(got, h @ v)
-    assert np.array_equal(v, before)  # the transform works on a copy
+        h = np.kron(h, np.array([[1, 1], [1, -1]], dtype=np.int8))
+    return np.concatenate([h[r:r + 256].astype(np.int64) @ v.astype(np.int64)
+                           for r in range(0, 2 ** n, 256)])
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_walsh_hadamard_matches_hadamard_matrix(n):
+    for dtype in (np.int32, np.int64):
+        v = np.random.default_rng(n).integers(-1000, 1000, size=2 ** n).astype(dtype)
+        before = v.copy()
+        got = _walsh_hadamard(v)
+        assert got.dtype == dtype
+        assert np.array_equal(got, sylvester_product(n, v))
+        assert np.array_equal(v, before)  # the input is left untouched
+
+
+def reference_walsh_hadamard(v):
+    """Per-level radix-2 butterflies in int64, one level per bit from the lowest."""
+    v = v.astype(np.int64)
+    h = 1
+    while h < v.shape[0]:
+        pairs = v.reshape(-1, 2, h)
+        top, bot = pairs[:, 0, :].copy(), pairs[:, 1, :].copy()
+        pairs[:, 0, :], pairs[:, 1, :] = top + bot, top - bot
+        h *= 2
+    return v
+
+
+def reference_assignment_scores(n):
+    """The XOR convolution with a popcount loop and the radix-2 transform."""
+    size = 2 ** n
+    index = np.arange(size)
+    popcount = sum((index >> b) & 1 for b in range(n))
+    g = np.abs(n - 2 * popcount)
+    indicator = (index < size // 2).astype(np.int64)
+    conv = reference_walsh_hadamard(
+        reference_walsh_hadamard(indicator) * reference_walsh_hadamard(g))
+    assert not np.any(conv % size)
+    return conv // size
+
+
+@pytest.mark.parametrize("n", range(13, 19))
+def test_assignment_scores_match_radix2_reference(n):
+    scores = assignment_scores(n)
+    assert scores.dtype == np.int64
+    assert np.array_equal(scores, reference_assignment_scores(n))
+
+
+def test_int32_transforms_cannot_overflow_at_the_cap():
+    # assignment_scores transforms g = |n - 2 popcount| in int32: every butterfly
+    # entry is at most n 2^n, and a level doubles the bottom half before
+    # subtracting it, so 2 n 2^n must stay below 2^31 up to the cap
+    assert BRUTEFORCE_MAX_N * 2 ** BRUTEFORCE_MAX_N < 2 ** 31
+    assert 2 * BRUTEFORCE_MAX_N * 2 ** BRUTEFORCE_MAX_N < 2 ** 31
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -80,10 +131,11 @@ def test_bruteforce_witnesses():
 
 
 def test_bruteforce_capacity():
-    with pytest.raises(CapacityError):
-        alpha_bruteforce(25)
-    with pytest.raises(ValueError):
-        alpha_bruteforce(1)
+    for scores_or_alpha in (assignment_scores, alpha_bruteforce):
+        with pytest.raises(CapacityError):
+            scores_or_alpha(BRUTEFORCE_MAX_N + 1)
+        with pytest.raises(ValueError):
+            scores_or_alpha(1)
 
 
 def test_bound_report_witness_attains_alpha():
