@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 computation failure (failed construction, failed
 certification, unmet --require-certified, failed allocation), 2 usage error
 (bad options, or an n past a command's limit, such as ``bound --n`` above
-BRUTEFORCE_MAX_N, or above EXHAUSTIVE_MAX_N with --exhaustive).
+BRUTEFORCE_MAX_N, or above EXHAUSTIVE_MAX_N with --exhaustive, and ``sweep
+--n-max`` above SWEEP_MAX_N, past which a row's ratio overflows a float).
 Errors print as single-line JSON objects on stderr.
 """
 from __future__ import annotations
@@ -12,17 +13,19 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 from .constructions import optimal_model
 from .errors import CapacityError, ChainlockError, ConstructionFailedError
 from .nlocal import (BRUTEFORCE_MAX_N, EXHAUSTIVE_MAX_N, alpha_closed_form, bound_report,
                      lhv_exhaustive_max)
 from .qcore import beta_quantum, model_from_json_dict, model_to_json_dict
-from .scenario import scenario_to_json_dict
+from .scenario import build_encoding
 from .seesaw import SeesawConfig, seesaw_optimize
 from .soscert import certify, condition_residuals, tsirelson_ceiling
 
 USAGE_ERROR, COMPUTE_ERROR = 2, 1
+_DUMP_CHUNK_ROWS = 4096
 
 
 def _round12(obj):
@@ -43,6 +46,30 @@ def _emit(payload, out_path: str | None):
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _json_rows(rows, shift: int = 0):
+    """The JSON list of ``rows + shift`` (a 2-d int array), in pieces of _DUMP_CHUNK_ROWS rows."""
+    yield "["
+    for lo in range(0, len(rows), _DUMP_CHUNK_ROWS):
+        chunk = (rows[lo:lo + _DUMP_CHUNK_ROWS] + shift).tolist()
+        yield (", " if lo else "") + json.dumps(chunk)[1:-1]
+    yield "]"
+
+
+def _dump_scenario(n: int, out_path: str | None) -> None:
+    """Write ``_emit(scenario_to_json_dict(n), out_path)``'s bytes, a chunk of rows at a time.
+
+    The payload holds only ints, so it needs no rounding, and per-chunk
+    ``json.dumps`` keeps the separators of one ``json.dumps`` of the whole.
+    """
+    table = build_encoding(n)
+    with open(out_path, "w", encoding="utf-8") if out_path else nullcontext(sys.stdout) as fh:
+        fh.write(f'{{"n": {n}, "signs": ')
+        fh.writelines(_json_rows(table.signs))
+        fh.write(', "bob_inputs": ')
+        fh.writelines(_json_rows(table.central, 1))
+        fh.write("}\n")
 
 
 def _fail(message: str, code: int) -> int:
@@ -73,7 +100,7 @@ def _nonnegative_int(text: str) -> int:
 
 def _cmd_bound(args) -> int:
     if args.dump_scenario:
-        _emit(scenario_to_json_dict(args.n), args.out)
+        _dump_scenario(args.n, args.out)
         return 0
     command, limit = (("bound --exhaustive", EXHAUSTIVE_MAX_N) if args.exhaustive
                       else ("bound", BRUTEFORCE_MAX_N))
@@ -140,6 +167,8 @@ def _cmd_certify(args) -> int:
 
 
 SWEEP_HEADER = "n,alpha,beta_opt,ratio,beta_constructed,certified"
+# tsirelson_ceiling(n) / alpha_closed_form(n) overflows an IEEE double from n = 1021
+SWEEP_MAX_N = 1020
 
 
 def sweep_rows(n_min: int, n_max: int) -> list[dict]:
@@ -162,32 +191,6 @@ def sweep_rows(n_min: int, n_max: int) -> list[dict]:
             row["certified"] = certify(model).certified
         rows.append(row)
     return rows
-
-
-def _sweep_row_fits(n: int) -> bool:
-    """Whether the ceiling and its ratio to alpha at n are finite floats."""
-    try:
-        tsirelson_ceiling(n) / alpha_closed_form(n)
-    except OverflowError:
-        return False
-    return True
-
-
-def _first_overflowing_n(n_max: int) -> int | None:
-    """The least n in 2..n_max whose sweep row overflows a float, or None.
-
-    Both the ceiling and alpha grow with n, so a doubling probe capped at
-    n_max and a bisection find it without evaluating any n much past it.
-    """
-    good, probe = 1, 2
-    while _sweep_row_fits(probe):
-        if probe == n_max:
-            return None
-        good, probe = probe, min(2 * probe, n_max)
-    while probe - good > 1:
-        mid = (good + probe) // 2
-        good, probe = (mid, probe) if _sweep_row_fits(mid) else (good, mid)
-    return probe
 
 
 def _cmd_sweep(args) -> int:
@@ -279,10 +282,9 @@ def main(argv=None) -> int:
     if args.command == "sweep":
         if not 2 <= args.n_min <= args.n_max:
             return _fail(f"invalid range {args.n_min}..{args.n_max}", USAGE_ERROR)
-        overflow = _first_overflowing_n(args.n_max)
-        if overflow is not None:
-            return _fail(f"sweep rows overflow a float from n={overflow}; "
-                         f"need n-max <= {overflow - 1}", USAGE_ERROR)
+        if args.n_max > SWEEP_MAX_N:
+            return _fail(f"sweep rows overflow a float from n={SWEEP_MAX_N + 1}; "
+                         f"need n-max <= {SWEEP_MAX_N}", USAGE_ERROR)
     try:
         return args.func(args)
     except (ChainlockError, ValueError, OSError) as exc:

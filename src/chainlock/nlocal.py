@@ -2,8 +2,8 @@
 
 Three independent routes to the same number:
   * ``alpha_closed_form``  -- one binomial, n C(n-1, floor((n-1)/2)), exact.
-  * ``alpha_bruteforce``   -- exhaustive evaluation of the edge-assignment
-    functional at every one of the 2^n sign assignments, exact integers.
+  * ``alpha_bruteforce``   -- one exact sum over the 2^(n-1) sign rows; every
+    assignment scores the same, so the functional's maximum is that sum.
   * ``lhv_exhaustive_max`` -- full deterministic-strategy search at the
     behavior level (small n), going through explicit probability tables.
     The search is batched: a run of strategy indices becomes one stack of
@@ -115,48 +115,15 @@ def alpha_closed_form(n: int) -> int:
     return n * math.comb(n - 1, (n - 1) // 2)
 
 
-def _butterflies(w: np.ndarray, h: int) -> None:
-    """Butterfly levels h, 2h, ... of the flat array w, in place.
-
-    Each level maps (top, bot) to (top + bot, top - bot) on the (-1, 2, h)
-    view, without a temporary: bot becomes (top + bot) - 2 bot.
-    """
-    while h < w.shape[0]:
-        pairs = w.reshape(-1, 2, h)
-        top, bot = pairs[:, 0, :], pairs[:, 1, :]
-        top += bot
-        bot *= 2
-        np.subtract(top, bot, out=bot)
-        h *= 2
-
-
-def _walsh_hadamard(v: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform of a length-2^n vector, into a new array.
-
-    The transform is H_R (x) H_C on v's (R, C) view, R = 2^(n - n//2) and
-    C = 2^(n//2).  A transposed copy puts the low (column) bits on top, where
-    their butterflies run on rows at least R long; a second transpose puts
-    the row bits back on top for theirs, and restores the natural order.
-    No level works on rows shorter than min(R, C).  The dtype of v is kept.
-    """
-    size = v.shape[0]
-    low = (size.bit_length() - 1) // 2
-    rows, cols = size >> low, 1 << low
-    w = v.reshape(rows, cols).T.copy().ravel()
-    _butterflies(w, rows)
-    w = w.reshape(cols, rows).T.copy().ravel()
-    _butterflies(w, cols)
-    return w
-
-
 def assignment_scores(n: int) -> np.ndarray:
     """Score of every edge assignment: f(a) = sum_i |sum_x signs[i,x] a_x|.
 
-    Evaluated exactly for all 2^n assignments at once.  With rows and
-    assignments written as bit masks, the inner sum is n - 2*popcount(v ^ a),
-    so f is the XOR-convolution of the row indicator with |n - 2*popcount|,
-    which three Walsh-Hadamard transforms compute in O(n 2^n) exact integer
-    arithmetic.  Index bit for input x sits at position n-1-x (first input is
+    The rows signs[i] hold one of each complement pair {v, -v} of sign
+    vectors (the one with first entry +1).  For an assignment a,
+    |v . a| = |(v * a) . 1|, and v -> v * a maps complement pairs onto
+    complement pairs, so every assignment scores the same f(1): the sum over
+    the 2^(n-1) row indices u of |n - 2*popcount(u)|, taken here exactly in
+    int64.  Index a's bit for input x sits at position n-1-x (first input is
     the most significant bit); bit 0 means sign +1.  Supported for
     2 <= n <= BRUTEFORCE_MAX_N.
     """
@@ -164,27 +131,8 @@ def assignment_scores(n: int) -> np.ndarray:
         raise ValueError(f"need n >= 2, got {n}")
     if n > BRUTEFORCE_MAX_N:
         raise CapacityError(f"alpha_bruteforce supports n <= {BRUTEFORCE_MAX_N}, got {n}")
-    size = 1 << n
-    # The first two transforms run in int32: every butterfly entry is a +-1 sum
-    # of the inputs, at most sum|g| <= n 2^n, and the doubled bottom half at
-    # most 2 n 2^n < 2^31 for n <= BRUTEFORCE_MAX_N (a test pins this).  The
-    # product and the third transform, whose output is 2^n f, run in int64.
-    g = np.bitwise_count(np.arange(size, dtype=np.int32)).astype(np.int32)
-    g *= -2
-    g += n
-    np.abs(g, out=g)
-    prod = _walsh_hadamard(g).astype(np.int64)
-    del g
-    indicator = np.zeros(size, dtype=np.int32)
-    indicator[: size // 2] = 1  # first bit 0 <=> index < 2^(n-1)
-    prod *= _walsh_hadamard(indicator)
-    del indicator
-    conv = _walsh_hadamard(prod)
-    del prod
-    if np.any(conv & (size - 1)):
-        raise AssertionError("Walsh-Hadamard convolution is not divisible by 2^n")
-    conv >>= n
-    return conv
+    popcount = np.bitwise_count(np.arange(1 << (n - 1), dtype=np.uint32)).astype(np.int64)
+    return np.full(1 << n, np.abs(n - 2 * popcount).sum(), dtype=np.int64)
 
 
 def alpha_bruteforce(n: int) -> tuple[int, tuple[int, ...]]:

@@ -1,9 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
 from chainlock.cli import main
+from chainlock.scenario import scenario_to_json_dict
 from chainlock.qcore import model_to_json_dict
 from chainlock.constructions import optimal_model
 
@@ -60,6 +62,28 @@ def test_dump_scenario(capsys):
     data = json.loads(out)
     assert data["signs"][0] == [1, 1, 1]
     assert data["bob_inputs"][1] == [1, 2]
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_dump_scenario_bytes(capsys, n):
+    code, out, _ = run_cli(capsys, "bound", "--n", str(n), "--dump-scenario")
+    assert code == 0
+    assert out == json.dumps(scenario_to_json_dict(n)) + "\n"
+
+
+def test_dump_scenario_memory_is_bounded(tmp_path):
+    # the n=16 term table's two arrays take 7.75 MB; the dump writes them a
+    # chunk of rows at a time, never the whole payload as Python lists or text
+    path = tmp_path / "scenario.json"
+    tracemalloc.start()
+    try:
+        code = main(["bound", "--n", "16", "--dump-scenario", "--out", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 16 * 2 ** 20
+    assert path.read_text() == json.dumps(scenario_to_json_dict(16)) + "\n"
 
 
 def test_quantum_n2(capsys):

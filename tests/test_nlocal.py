@@ -10,7 +10,7 @@ from chainlock import nlocal
 from chainlock.errors import CapacityError, ShapeError
 from chainlock.nlocal import (BRUTEFORCE_MAX_N, Behavior, DeterministicStrategy,
                               _behavior_tables, _betas,
-                              _search_range, _strategy_from_index, _walsh_hadamard,
+                              _search_range, _strategy_from_index,
                               alpha_bruteforce, alpha_closed_form, assignment_scores, behavior_from_strategy,
                               beta_of_behavior, bound_report, lhv_exhaustive_max)
 from chainlock.scenario import build_encoding
@@ -38,7 +38,7 @@ def test_alpha_closed_form_equals_binomial_sum():
                                            for l in range(n // 2 + 1))
 
 
-@pytest.mark.parametrize("n", range(2, 21))
+@pytest.mark.parametrize("n", range(2, 25))
 def test_alpha_closed_equals_bruteforce(n):
     value, witness = alpha_bruteforce(n)
     assert value == alpha_closed_form(n)
@@ -49,29 +49,6 @@ def test_alpha_closed_equals_bruteforce(n):
 def test_bruteforce_against_naive_oracle(n):
     scores = assignment_scores(n)
     assert scores.tolist() == naive_assignment_scores(n)
-
-
-def sylvester_product(n, v):
-    """H_n @ v with H_n the Sylvester-Hadamard matrix, built by Kronecker products.
-
-    H_n is held as int8 and multiplied in blocks of rows, so n = 12 needs 16 MB.
-    """
-    h = np.ones((1, 1), dtype=np.int8)
-    for _ in range(n):
-        h = np.kron(h, np.array([[1, 1], [1, -1]], dtype=np.int8))
-    return np.concatenate([h[r:r + 256].astype(np.int64) @ v.astype(np.int64)
-                           for r in range(0, 2 ** n, 256)])
-
-
-@pytest.mark.parametrize("n", range(1, 13))
-def test_walsh_hadamard_matches_hadamard_matrix(n):
-    for dtype in (np.int32, np.int64):
-        v = np.random.default_rng(n).integers(-1000, 1000, size=2 ** n).astype(dtype)
-        before = v.copy()
-        got = _walsh_hadamard(v)
-        assert got.dtype == dtype
-        assert np.array_equal(got, sylvester_product(n, v))
-        assert np.array_equal(v, before)  # the input is left untouched
 
 
 def reference_walsh_hadamard(v):
@@ -104,14 +81,6 @@ def test_assignment_scores_match_radix2_reference(n):
     scores = assignment_scores(n)
     assert scores.dtype == np.int64
     assert np.array_equal(scores, reference_assignment_scores(n))
-
-
-def test_int32_transforms_cannot_overflow_at_the_cap():
-    # assignment_scores transforms g = |n - 2 popcount| in int32: every butterfly
-    # entry is at most n 2^n, and a level doubles the bottom half before
-    # subtracting it, so 2 n 2^n must stay below 2^31 up to the cap
-    assert BRUTEFORCE_MAX_N * 2 ** BRUTEFORCE_MAX_N < 2 ** 31
-    assert 2 * BRUTEFORCE_MAX_N * 2 ** BRUTEFORCE_MAX_N < 2 ** 31
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -333,12 +302,6 @@ def test_behavior_hash_and_equality_are_identity():
     hash(b)
     assert b == b
     assert (b == copy.copy(b)) is False
-
-
-def test_assignment_scores_checks_divisibility(monkeypatch):
-    monkeypatch.setattr(nlocal, "_walsh_hadamard", lambda v: np.ones_like(v))
-    with pytest.raises(AssertionError, match="divisible"):
-        assignment_scores(3)
 
 
 def test_alpha_even_for_even_n():
