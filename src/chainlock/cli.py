@@ -39,13 +39,18 @@ def _round12(obj):
     return obj
 
 
+def _json_line(payload) -> str:
+    return json.dumps(_round12(payload)) + "\n"
+
+
 def _emit(payload, out_path: str | None):
-    text = json.dumps(_round12(payload))
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    with _output(out_path) as fh:
+        fh.write(_json_line(payload))
+
+
+def _output(out_path: str | None):
+    """The file at ``out_path``, opened for writing, or stdout."""
+    return open(out_path, "w", encoding="utf-8") if out_path else nullcontext(sys.stdout)
 
 
 def _json_rows(rows, shift: int = 0):
@@ -64,7 +69,7 @@ def _dump_scenario(n: int, out_path: str | None) -> None:
     ``json.dumps`` keeps the separators of one ``json.dumps`` of the whole.
     """
     table = build_encoding(n)
-    with open(out_path, "w", encoding="utf-8") if out_path else nullcontext(sys.stdout) as fh:
+    with _output(out_path) as fh:
         fh.write(f'{{"n": {n}, "signs": ')
         fh.writelines(_json_rows(table.signs))
         fh.write(', "bob_inputs": ')
@@ -146,13 +151,15 @@ def _cmd_seesaw(args) -> int:
         restarts=args.restarts, seed=args.seed,
         optimize_edges=not args.freeze_edges,
         qubits_per_half=args.pairs_per_source)
-    report = seesaw_optimize(args.n, config)
-    if args.trace_csv:
-        with open(args.trace_csv, "w", encoding="utf-8") as fh:
-            fh.write("restart,iteration,beta\n")
+    # both outputs open before the optimization, so a bad path fails at once
+    with (open(args.trace_csv, "w", encoding="utf-8") if args.trace_csv
+          else nullcontext()) as trace_fh, _output(args.out) as out_fh:
+        report = seesaw_optimize(args.n, config)
+        if trace_fh:
+            trace_fh.write("restart,iteration,beta\n")
             for r, it, beta in report.trace:
-                fh.write(f"{r},{it},{beta:.12g}\n")
-    _emit(report.to_json_dict(), args.out)
+                trace_fh.write(f"{r},{it},{beta:.12g}\n")
+        out_fh.write(_json_line(report.to_json_dict()))
     if args.require_certified and not certify(report.best_model).certified:
         return _fail("best seesaw model is not certified", COMPUTE_ERROR)
     return 0

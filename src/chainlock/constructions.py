@@ -63,6 +63,40 @@ def _explicit_n3() -> QuantumModel:
     return make_model(3, edges, [bob1, bob2], edges)
 
 
+def _fit_starts(lefts, ys, bobs, central, d: int) -> list[tuple[list, float]]:
+    """Sweep every start of the fit to convergence in lockstep.
+
+    ``bobs[t][y]`` stacks the starts on a leading axis.  A start leaves the
+    batch on the sweep where its total overlap moves by less than 1e-13, or
+    at FIT_SWEEPS; the result is (bobs, total) per start, in start order.
+    """
+    n = central.shape[1] + 1
+    weights = np.ones(len(central))
+    bobs = [list(pair) for pair in bobs]  # the caller's lists stay as they are
+    active = np.arange(len(bobs[0][0]))
+    fitted = [None] * len(active)
+    prev = term_expectations(lefts, ys, bobs, central, d).real.sum(-1)
+    for _ in range(FIT_SWEEPS):
+        # the shared lefts get the start axis, so every slot matrix has it (also at n = 2)
+        sweep = CentralSweep(np.broadcast_to(lefts, (len(active),) + lefts.shape), ys, bobs,
+                             central, d)
+        for t in range(n - 1):
+            for yv in range(2):
+                bobs[t][yv] = dichotomic_projection(sweep.slot_matrix(t, yv, weights))
+            sweep.advance(t)
+        cur = close(sweep.left, ys, d, n).real.sum(-1)
+        done = abs(cur - prev) < 1e-13
+        for k in np.flatnonzero(done):
+            fitted[active[k]] = ([[b[k] for b in pair] for pair in bobs], prev[k])
+        active, prev = active[~done], cur[~done]
+        bobs = [[b[~done] for b in pair] for pair in bobs]
+        if not active.size:
+            break
+    for k, s in enumerate(active):
+        fitted[s] = ([[b[k] for b in pair] for pair in bobs], prev[k])
+    return fitted
+
+
 def fit_bob_observables(state: BellChainState, edge_observables):
     """Least-squares fit of per-party central observables to the zero conditions.
 
@@ -71,9 +105,11 @@ def fit_bob_observables(state: BellChainState, edge_observables):
     Each sweep is the seesaw's cached central pass (``CentralSweep``) with
     unit weights on the pre-scaled terms: every term keeps its left and right
     environments through the sweep, and the sweep's overlaps close the last
-    left environments.  The per-term residuals are r_i = sqrt(2 - 2 overlap_i).
-    Returns (bobs, overlaps) for the best deterministic start; any state other
-    than a Bell chain raises UnsupportedStateError.
+    left environments.  The identity start and FIT_EXTRA_STARTS seeded random
+    starts sweep together as one stacked batch.  The per-term residuals are
+    r_i = sqrt(2 - 2 overlap_i).  Returns (bobs, overlaps) for the best start
+    (ties keep the earliest); any state other than a Bell chain raises
+    UnsupportedStateError.
     """
     require_bell_chain(state)
     n, d = state.layout.n, state.layout.link_dim
@@ -86,36 +122,16 @@ def fit_bob_observables(state: BellChainState, edge_observables):
     # omega per term from the actual edge set (equals n for anticommuting sets)
     om_a, om_c = _omegas(state, ys, ys)
     lefts = ys / (np.array(om_a) * np.array(om_c))[:, None, None]
-    weights = np.ones(table.terms)
-
-    def overlaps(bobs):
-        return term_expectations(lefts, ys, bobs, table.central, d).real
-
-    def sweep_to_convergence(bobs):
-        prev = overlaps(bobs).sum()
-        for _ in range(FIT_SWEEPS):
-            sweep = CentralSweep(lefts, ys, bobs, table.central, d)
-            for t in range(n - 1):
-                for yv in range(2):
-                    bobs[t][yv] = dichotomic_projection(sweep.slot_matrix(t, yv, weights))
-                sweep.advance(t)
-            cur = close(sweep.left, ys, d, n).real.sum()
-            if abs(cur - prev) < 1e-13:
-                break
-            prev = cur
-        return bobs, prev
-
-    starts = [[[np.eye(d * d, dtype=complex) for _ in range(2)] for _ in range(n - 1)]]
-    for s in range(FIT_EXTRA_STARTS):
-        rng = np.random.default_rng(1000 + s)
-        starts.append([[random_dichotomic(d * d, rng) for _ in range(2)]
-                       for _ in range(n - 1)])
+    draws = [[[random_dichotomic(d * d, rng) for _ in range(2)] for _ in range(n - 1)]
+             for rng in (np.random.default_rng(1000 + s) for s in range(FIT_EXTRA_STARTS))]
+    eye = np.eye(d * d, dtype=complex)
+    starts = [[np.stack([eye] + [draw[t][y] for draw in draws]) for y in range(2)]
+              for t in range(n - 1)]
     best_bobs, best_total = None, -np.inf
-    for bobs in starts:
-        bobs, total = sweep_to_convergence(bobs)
+    for bobs, total in _fit_starts(lefts, ys, starts, table.central, d):
         if total > best_total + 1e-12:
             best_bobs, best_total = bobs, total
-    return best_bobs, overlaps(best_bobs)
+    return best_bobs, term_expectations(lefts, ys, best_bobs, table.central, d).real
 
 
 def optimal_model(n: int, qubits_per_half: int | None = None) -> QuantumModel:

@@ -308,21 +308,28 @@ def term_vectors(model: QuantumModel, ya, yc):
 # ---------------------------------------------------------------------------
 # chain-contraction evaluator
 #
-# Per-term quantities carry a leading term axis: edge sums and environments
-# are (terms, d, d), open-slot matrices (terms, d^2, d^2).  Term i reads
+# Per-term quantities carry a term axis: edge sums and environments are
+# (..., terms, d, d), open-slot matrices (..., terms, d^2, d^2).  Term i reads
 # bobs[t][central[i, t]] at central party t+1 (``central``: the term table's
 # 0-based inputs).  Every route is one of two folds, one party at a time: left
 # environments pushed forward or right ones pulled back, on each link
 # <phi| P (x) Q |phi> = tr(P Q^T)/d.  A party folds the readers of each of its
 # operators ([bra l, bra r, ket l, ket r] legs) in one ``einsum``, without a
 # per-term copy; for each term that is the float sequence of a one-term fold.
+# The leading ``...`` axes stack independent models (the starts of an
+# ascent): an operator is (D, D) or (..., D, D), and environments, operators
+# and weights broadcast against each other, each model on its own float
+# sequence.
 
 def _fold(spec: str, envs: np.ndarray, bobs, central, t: int, d: int) -> np.ndarray:
     """envs through central party t+1, each term through the operator it reads."""
-    out = np.empty_like(envs)
-    for y, op in enumerate(bobs[t]):
+    ops = [np.asarray(op, dtype=complex) for op in bobs[t]]
+    batch = np.broadcast_shapes(envs.shape[:-3], *(op.shape[:-2] for op in ops))
+    out = np.empty(batch + envs.shape[-3:], dtype=complex)
+    for y, op in enumerate(ops):
         m = central[:, t] == y
-        out[m] = np.einsum(spec, envs[m], np.asarray(op, dtype=complex).reshape(d, d, d, d))
+        out[..., m, :, :] = np.einsum(spec, envs[..., m, :, :],
+                                      op.reshape(op.shape[:-2] + (d, d, d, d)))
     return out
 
 
@@ -331,7 +338,7 @@ def push(lefts: np.ndarray, bobs, central, d: int, start: int = 0,
     """Left environments pushed forward through central parties start+1..stop (default n-1)."""
     lefts = np.asarray(lefts, dtype=complex)
     for t in range(start, central.shape[1] if stop is None else stop):
-        lefts = _fold("iab,acbd->icd", lefts, bobs, central, t, d)
+        lefts = _fold("...iab,...acbd->...icd", lefts, bobs, central, t, d)
     return lefts
 
 
@@ -339,18 +346,19 @@ def pull(rights: np.ndarray, bobs, central, d: int) -> list[np.ndarray]:
     """envs[k] = right environments pulled back through central parties k+1..n-1."""
     envs = [np.asarray(rights, dtype=complex)]
     for t in reversed(range(central.shape[1])):
-        envs.append(_fold("icd,acbd->iab", envs[-1], bobs, central, t, d))
+        envs.append(_fold("...icd,...acbd->...iab", envs[-1], bobs, central, t, d))
     return envs[::-1]
 
 
 def close(lefts: np.ndarray, rights: np.ndarray, d: int, n: int) -> np.ndarray:
     """Chain values from full left environments and the right edge operators."""
-    return np.einsum("iab,iab->i", lefts, rights) / d ** n
+    return np.einsum("...iab,...iab->...i", lefts, rights) / d ** n
 
 
 def open_slots(lefts: np.ndarray, rights: np.ndarray, d: int, n: int) -> np.ndarray:
     """G_i with <chain_i> = tr(B G_i) for a central operator B between two environments."""
-    return np.einsum("iab,icd->ibdac", lefts, rights).reshape(-1, d * d, d * d) / d ** n
+    g = np.einsum("...iab,...icd->...ibdac", lefts, rights)
+    return g.reshape(g.shape[:-4] + (d * d, d * d)) / d ** n
 
 
 def term_expectations(lefts, rights, bobs, central, d: int) -> np.ndarray:
@@ -454,11 +462,16 @@ def beta_quantum(model: QuantumModel,
 # in term order.  A cached environment is the float sequence of a fresh fold,
 # so cached and fresh values are equal bit for bit.
 
-_SLOT_STACK_BYTES = 1 << 22  # 4 MB: 64 slot matrices at d = 8, one from d = 32 up
+# 4 MB of open-slot matrices over all stacked models: 64 at d = 8 for one
+# model, one from d = 32 up
+_SLOT_STACK_BYTES = 1 << 22
 
 def signed_sums(signs: np.ndarray, mats) -> np.ndarray:
-    """Y_i = sum_x signs[i, x] M_x for every term: the signed edge combinations."""
-    return np.einsum("ix,xab->iab", signs, np.asarray(mats))
+    """Y_i = sum_x signs[i, x] M_x for every term: the signed edge combinations.
+
+    Each M_x is (d, d) or a stack (..., d, d); the sums are (..., terms, d, d).
+    """
+    return np.einsum("ix,x...ab->...iab", signs, np.asarray(mats))
 
 
 def edge_sums(n: int, alice, charlie) -> tuple[np.ndarray, np.ndarray]:
@@ -477,7 +490,9 @@ class CentralSweep:
     ``left[i]`` is lefts[i] pushed through the parties already passed.  The
     caller may change ``bobs[t][y]`` (in place) while the sweep is at party
     t+1 and calls ``advance(t)`` once it moves on; after the last party
-    ``left`` holds the full left environments.
+    ``left`` holds the full left environments.  Stacked models sweep
+    together: the term axis is -3 of every environment, with the model axes
+    before it.
     """
 
     def __init__(self, lefts, rights, bobs, central, d: int):
@@ -498,19 +513,22 @@ class CentralSweep:
         gives tr(B W) = sum_i weights[i] <L_i (x) B_i (x) R_i>.
         """
         d, n, readers = self.d, self.n, self.readers(t, y)
-        w = np.zeros((1, d * d, d * d), dtype=complex)
-        step = max(1, _SLOT_STACK_BYTES // (16 * d ** 4))
+        left, right, weights = self.left, self.right[t + 1], np.asarray(weights)
+        batch = np.broadcast_shapes(left.shape[:-3], right.shape[:-3], weights.shape[:-1])
+        w = np.zeros(batch + (1, d * d, d * d), dtype=complex)
+        step = max(1, _SLOT_STACK_BYTES // (16 * d ** 4 * math.prod(batch)))
         for s in range(0, len(readers), step):  # w stays first: G_i add to it in term order
             i = readers[s:s + step]
-            g = open_slots(self.left[i], self.right[t + 1][i], d, n)
-            w = np.concatenate([w, np.asarray(weights)[i, None, None] * g]).sum(0, keepdims=True)
-        return w[0]
+            g = weights[..., i, None, None] * open_slots(left[..., i, :, :],
+                                                         right[..., i, :, :], d, n)
+            w = np.concatenate([w, g], axis=-3).sum(-3, keepdims=True)
+        return w[..., 0, :, :]
 
     def refold(self, t: int, y: int) -> tuple[np.ndarray, np.ndarray]:
         """The readers of slot (t, y) and their chain values with the operator now in it."""
         i = self.readers(t, y)
-        lefts = push(self.left[i], self.bobs, self.central[i], self.d, start=t)
-        return i, close(lefts, self.right_ops[i], self.d, self.n)
+        lefts = push(self.left[..., i, :, :], self.bobs, self.central[i], self.d, start=t)
+        return i, close(lefts, self.right_ops[..., i, :, :], self.d, self.n)
 
     def advance(self, t: int):
         """Push every left environment through its operator of central party t+1."""
@@ -520,11 +538,12 @@ class CentralSweep:
 def dichotomic_projection(hermitian: np.ndarray) -> np.ndarray:
     """Nearest dichotomic observable: replace eigenvalues by their signs.
 
-    Zero eigenvalues round to +1 so the output is deterministic.
+    Zero eigenvalues round to +1 so the output is deterministic.  A stack
+    (..., D, D) is projected matrix by matrix.
     """
-    w, v = np.linalg.eigh((hermitian + hermitian.conj().T) / 2)
+    w, v = np.linalg.eigh((hermitian + hermitian.conj().swapaxes(-1, -2)) / 2)
     signs = np.where(w >= 0, 1.0, -1.0)
-    return (v * signs) @ v.conj().T
+    return (v * signs[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def random_dichotomic(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -44,11 +44,15 @@ def build_encoding(n: int) -> TermTable:
     """The term table of an n-source chain, built once per n."""
     if n < 2:
         raise ValueError(f"chain scenario needs at least 2 sources, got n={n}")
-    # row i: the n bits of i, most significant first; i < 2^(n-1), so bit 0 is 0
-    bits = (np.arange(1 << (n - 1), dtype=np.int64)[:, None]
-            >> np.arange(n - 1, -1, -1, dtype=np.int64)) & 1
-    signs = 1 - 2 * bits
-    central = np.ascontiguousarray(bits[:, 1:])
+    # row i: the n bits of i, most significant first; i < 2^(n-1), so bit 0 is
+    # 0.  Both tables are filled in place, so only they are ever held whole.
+    central = (np.arange(1 << (n - 1), dtype=np.int64)[:, None]
+               >> np.arange(n - 2, -1, -1, dtype=np.int64))
+    central &= 1
+    signs = np.empty((len(central), n), dtype=np.int64)
+    signs[:, 0] = 1
+    np.multiply(central, -2, out=signs[:, 1:])
+    signs[:, 1:] += 1
     signs.setflags(write=False)
     central.setflags(write=False)
     return TermTable(n=n, signs=signs, central=central)

@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+from chainlock import cli
 from chainlock.cli import main
 from chainlock.scenario import scenario_to_json_dict
 from chainlock.qcore import model_to_json_dict
@@ -300,3 +301,16 @@ def test_seesaw_beyond_dense_limit(capsys):
     data = json.loads(out)
     assert data["best_model"]["qubits_per_half"] == 3
     assert len(data["trace"]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--trace-csv", "--out"])
+def test_seesaw_unwritable_output_fails_before_optimizing(tmp_path, monkeypatch, capsys, flag):
+    # a bad output path is found before the optimization, not after it
+    def optimize(*args, **kwargs):
+        raise AssertionError("the optimization ran before the outputs were opened")
+
+    monkeypatch.setattr(cli, "seesaw_optimize", optimize)
+    path = str(tmp_path / "missing" / "out.txt")
+    code, _, err = run_cli(capsys, "seesaw", "--n", "2", flag, path)
+    assert code == 1
+    assert path in json.loads(err)["error"]

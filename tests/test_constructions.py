@@ -126,3 +126,29 @@ def test_fit_rejects_wrong_edge_count():
 def test_optimal_model_undersized_layout():
     with pytest.raises(CapacityError):
         optimal_model(4, qubits_per_half=1)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_fit_start_equals_one_start_batch(n):
+    # every start of the lockstep fit ends where it ends when fitted alone:
+    # the same total overlap and observables, bit for bit
+    from chainlock.constructions import _fit_starts
+    from chainlock.qcore import default_layout, random_dichotomic, signed_sums
+    from chainlock.scenario import build_encoding
+    d, table = default_layout(n).link_dim, build_encoding(n)
+    edges = [o.matrix for o in jordan_wigner_set(n)]
+    edges = [np.kron(e, np.eye(d // e.shape[0])) for e in edges]
+    ys = signed_sums(table.signs, edges)
+    lefts = ys / n ** 2  # omega_i = n for an anticommuting edge set
+    rng = np.random.default_rng(n)
+    starts = [[[random_dichotomic(d * d, rng) for _ in range(2)] for _ in range(n - 1)]
+              for _ in range(4)]
+    stacked = [[np.stack([s[t][y] for s in starts]) for y in range(2)] for t in range(n - 1)]
+    batch = _fit_starts(lefts, ys, stacked, table.central, d)
+    assert len(batch) == len(starts)
+    for start, (bobs, total) in zip(starts, batch):
+        (lone_bobs, lone_total), = _fit_starts(
+            lefts, ys, [[op[None] for op in pair] for pair in start], table.central, d)
+        assert total == lone_total
+        for got, want in zip(sum(bobs, []), sum(lone_bobs, [])):
+            assert np.array_equal(got, want)

@@ -515,6 +515,74 @@ def test_stacked_folds_equal_per_term_folds(n, d, monkeypatch):
             sweep.advance(t)
 
 
+@pytest.mark.parametrize("d", [2, 4, 8])
+@pytest.mark.parametrize("n", range(2, 6))
+def test_stacked_models_equal_lone_models(n, d, monkeypatch):
+    # a leading model axis runs each model on its own float sequence: folds,
+    # slot matrices (also cut into pieces), refolds, signed sums and
+    # projections of a stack of 3 equal those of each model alone, also when
+    # the environments are shared and only the operators are stacked
+    from chainlock import qcore
+    from chainlock.scenario import build_encoding
+    rng = np.random.default_rng(100 * n + d)
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    table = build_encoding(n)
+    central, terms, models = table.central, table.terms, 3
+    lefts, rights = cplx(models, terms, d, d), cplx(models, terms, d, d)
+    bobs = [[cplx(models, d * d, d * d) for _ in range(2)] for _ in range(n - 1)]
+    weights = rng.normal(size=(models, terms))
+
+    def lone(k):
+        return [[op[k] for op in pair] for pair in bobs]
+
+    pushed, pulled = qcore.push(lefts, bobs, central, d), qcore.pull(rights, bobs, central, d)
+    shared = qcore.push(lefts[0], bobs, central, d)
+    for k in range(models):
+        assert np.array_equal(pushed[k], qcore.push(lefts[k], lone(k), central, d))
+        assert np.array_equal(shared[k], qcore.push(lefts[0], lone(k), central, d))
+        for got, want in zip(pulled, qcore.pull(rights[k], lone(k), central, d)):
+            assert np.array_equal(got[k], want)
+        assert np.array_equal(qcore.close(pushed, rights, d, n)[k],
+                              qcore.close(pushed[k], rights[k], d, n))
+        assert np.array_equal(qcore.open_slots(lefts, rights, d, n)[k],
+                              qcore.open_slots(lefts[k], rights[k], d, n))
+    signs = table.signs
+    edge = cplx(n, models, d, d)
+    hermitian = cplx(models, d * d, d * d)
+    for k in range(models):
+        assert np.array_equal(qcore.signed_sums(signs, list(edge))[k],
+                              qcore.signed_sums(signs, list(edge[:, k])))
+        assert np.array_equal(qcore.dichotomic_projection(hermitian)[k],
+                              qcore.dichotomic_projection(hermitian[k]))
+
+    slot_bytes = 16 * d ** 4
+    for budget in (qcore._SLOT_STACK_BYTES, 3 * models * slot_bytes, slot_bytes // 2):
+        monkeypatch.setattr(qcore, "_SLOT_STACK_BYTES", budget)
+        stacked = qcore.CentralSweep(lefts, rights, bobs, central, d)
+        lones = [qcore.CentralSweep(lefts[k], rights[k], lone(k), central, d)
+                 for k in range(models)]
+        for t in range(n - 1):
+            for y in range(2):
+                w = stacked.slot_matrix(t, y, weights)
+                new = cplx(models, d * d, d * d)
+                bobs[t][y] = new
+                readers, values = stacked.refold(t, y)
+                for k, sweep in enumerate(lones):
+                    assert np.array_equal(w[k], sweep.slot_matrix(t, y, weights[k]))
+                    sweep.bobs[t][y] = new[k]
+                    lone_readers, lone_values = sweep.refold(t, y)
+                    assert np.array_equal(readers, lone_readers)
+                    assert np.array_equal(values[k], lone_values)
+            stacked.advance(t)
+            for sweep in lones:
+                sweep.advance(t)
+        for k, sweep in enumerate(lones):
+            assert np.array_equal(stacked.left[k], sweep.left)
+
+
 @pytest.mark.parametrize("d", [2, 4])
 @pytest.mark.parametrize("n", range(2, 8))
 def test_signed_sums_equal_sequential_sums(n, d):

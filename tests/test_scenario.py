@@ -131,3 +131,16 @@ def test_table_hash_and_equality_are_identity():
     hash(enc)
     assert enc == build_encoding(3)
     assert (enc == copy.copy(enc)) is False
+
+
+@pytest.mark.parametrize("n", range(2, 21))
+def test_in_place_table_equals_bit_formula(n):
+    # the tables are filled in place; they must equal the (-1)^bits and
+    # trailing-bits formula and stay read-only int64
+    bits = (np.arange(1 << (n - 1), dtype=np.int64)[:, None]
+            >> np.arange(n - 1, -1, -1, dtype=np.int64)) & 1
+    table = build_encoding.__wrapped__(n)  # a fresh table, not kept in the cache
+    assert np.array_equal(table.signs, 1 - 2 * bits)
+    assert np.array_equal(table.central, bits[:, 1:])
+    for arr in (table.signs, table.central):
+        assert arr.dtype == np.int64 and not arr.flags.writeable and arr.flags.c_contiguous

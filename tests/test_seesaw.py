@@ -1,9 +1,13 @@
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from chainlock.qcore import Observable, beta_quantum, dichotomic_projection
 from chainlock.scenario import build_encoding
-from chainlock.seesaw import (SeesawConfig, SeesawReport, _beta_of, _sweep, _weights,
+from chainlock import seesaw
+from chainlock.seesaw import (SeesawConfig, SeesawReport, _ascend, _beta_of, _sweep, _weights,
                               _Workspace, random_model, seesaw_optimize)
 from chainlock.soscert import tsirelson_ceiling
 from reference_folds import bob_slot, chain_value, edge_slot, signed_sums
@@ -16,6 +20,23 @@ def test_config_validation():
         SeesawConfig(tolerance=0.0)
     with pytest.raises(ValueError):
         SeesawConfig(restarts=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tolerance", float("nan")),  # never met: every restart ran to the cap
+    ("tolerance", float("inf")),
+    ("restarts", True),  # ran as one restart
+    ("restarts", 2.0),  # a TypeError once the run started
+    ("max_iterations", 2.5),
+    ("seed", -1),  # a ValueError from the generator once the run started
+])
+def test_config_rejects_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        SeesawConfig(**{field: value})
+
+
+def test_config_accepts_numpy_integers():
+    assert SeesawConfig(restarts=np.int64(2), seed=np.int64(3)).restarts == 2
 
 
 def test_random_model_deterministic():
@@ -163,21 +184,90 @@ def _uncached_sweep(ws, table, beta, js, optimize_edges):
     return beta, js
 
 
+def _lone_workspace(model):
+    """One model's observables as plain matrices, for the reference sweep."""
+    return SimpleNamespace(n=model.n, d=model.layout.link_dim,
+                           alice=[np.array(o.matrix) for o in model.alice],
+                           charlie=[np.array(o.matrix) for o in model.charlie],
+                           bobs=[[np.array(o.matrix) for o in pair] for pair in model.bobs])
+
+
+def _flat(alice, bobs, charlie):
+    return (*alice, *charlie, *sum(bobs, []))
+
+
 @pytest.mark.parametrize("n, m", [(2, 1), (3, 1), (4, 1), (5, 1), (2, 2), (3, 2), (4, 2)])
 @pytest.mark.parametrize("optimize_edges", [True, False])
 def test_cached_sweep_equals_uncached_sweep(n, m, optimize_edges):
-    # the cached sweep must take every accept/reject decision of the uncached
-    # one on the same floats, so betas, J_i and observables match bit for bit
+    # the batched cached sweep must take, for each model of the batch, every
+    # accept/reject decision of the uncached one on the same floats, so betas,
+    # J_i and observables match bit for bit
     table = build_encoding(n)
-    model = random_model(n, seed=10 * n + m, qubits_per_half=m)
-    cached, reference = _Workspace(model), _Workspace(model)
+    models = [random_model(n, seed=10 * n + m + 1000 * k, qubits_per_half=m) for k in range(3)]
+    cached, references = _Workspace(models), [_lone_workspace(mo) for mo in models]
     beta, js = _beta_of(cached, table)
-    ref_beta, ref_js = beta, js
+    ref = [(beta[k], js[k]) for k in range(len(models))]
     for _ in range(3):
         beta, js = _sweep(cached, table, beta, js, optimize_edges)
-        ref_beta, ref_js = _uncached_sweep(reference, table, ref_beta, ref_js, optimize_edges)
-        assert beta == ref_beta
-        assert np.array_equal(js, ref_js)
-        for got, want in zip((*cached.alice, *cached.charlie, *sum(cached.bobs, [])),
-                             (*reference.alice, *reference.charlie, *sum(reference.bobs, []))):
+        for k, reference in enumerate(references):
+            ref[k] = _uncached_sweep(reference, table, *ref[k], optimize_edges)
+            assert beta[k] == ref[k][0]
+            assert np.array_equal(js[k], ref[k][1])
+            for got, want in zip(_flat(*cached.matrices(k)),
+                                 _flat(reference.alice, reference.bobs, reference.charlie)):
+                assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n, m", [(2, 1), (3, 1), (4, 1), (5, 1), (2, 2), (3, 2), (4, 2), (5, 2)])
+@pytest.mark.parametrize("optimize_edges", [True, False])
+def test_restart_equals_lone_restart(n, m, optimize_edges):
+    # restart r of a batch runs exactly as seed + 7919 r alone: the same trace
+    # rows, restart beta and final observables
+    config = SeesawConfig(restarts=3, seed=5, qubits_per_half=m, max_iterations=30,
+                          optimize_edges=optimize_edges)
+    rep = seesaw_optimize(n, config)
+    models = [random_model(n, seed=5 + 7919 * r, qubits_per_half=m) for r in range(3)]
+    batch = _ascend(_Workspace(models), build_encoding(n), [0, 1, 2], config)
+    for r in range(3):
+        lone_config = replace(config, restarts=1, seed=5 + 7919 * r)
+        lone = seesaw_optimize(n, lone_config)
+        assert [row[1:] for row in rep.trace if row[0] == r] == [row[1:] for row in lone.trace]
+        assert rep.restart_betas[r] == lone.restart_betas[0]
+        (rows, beta, converged, matrices), = _ascend(_Workspace(models[r:r + 1]),
+                                                      build_encoding(n), [r], config)
+        assert (rows, beta, converged) == batch[r][:3]
+        for got, want in zip(_flat(*batch[r][3]), _flat(*matrices)):
             assert np.array_equal(got, want)
+        if rep.restart_betas.index(rep.best_beta) == r:
+            for got, want in zip(_flat(*_model_matrices(rep.best_model)),
+                                 _flat(*_model_matrices(lone.best_model))):
+                assert np.array_equal(got, want)
+
+
+def _model_matrices(model):
+    return ([o.matrix for o in model.alice], [[o.matrix for o in p] for p in model.bobs],
+            [o.matrix for o in model.charlie])
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_batch_cap_keeps_every_bit(size, monkeypatch):
+    # cutting the restarts into batches of 1 or 3 changes no output bit
+    n, m = 4, 1
+    config = SeesawConfig(restarts=7, seed=11, qubits_per_half=m, max_iterations=80)
+    whole = seesaw_optimize(n, config)
+    sizes = []
+
+    def ascend(ws, table, restarts, cfg):
+        sizes.append(len(restarts))
+        return _ascend(ws, table, restarts, cfg)
+
+    monkeypatch.setattr(seesaw, "_ascend", ascend)
+    monkeypatch.setattr(seesaw, "_RESTART_BATCH_BYTES", size * seesaw._restart_bytes(n, 2) + 1)
+    cut = seesaw_optimize(n, config)
+    assert sizes == [size] * (7 // size) + ([7 % size] if 7 % size else [])
+    assert cut.trace == whole.trace
+    assert cut.restart_betas == whole.restart_betas
+    assert (cut.best_beta, cut.converged) == (whole.best_beta, whole.converged)
+    for got, want in zip(_flat(*_model_matrices(cut.best_model)),
+                         _flat(*_model_matrices(whole.best_model))):
+        assert np.array_equal(got, want)
