@@ -29,11 +29,17 @@ FIT_SWEEPS = 400
 FIT_EXTRA_STARTS = 8  # seeded random starts after the identity start
 
 
-def _explicit_n2() -> QuantumModel:
+def _explicit_n2(m: int) -> QuantumModel:
+    """The CHSH chain on the first pair of each source, the identity on the other m-1."""
     a1 = (PAULI_Z + PAULI_X) / math.sqrt(2)
     a2 = (PAULI_Z - PAULI_X) / math.sqrt(2)
+    edges = [a1, a2]
     bob = [kron_all(PAULI_Z, PAULI_Z), kron_all(PAULI_X, PAULI_X)]
-    return make_model(2, [a1, a2], [bob], [a1, a2])
+    if m > 1:
+        pad = np.eye(2 ** (m - 1))
+        edges = [np.kron(e, pad) for e in edges]
+        bob = [kron_all(p, pad, p, pad) for p in (PAULI_Z, PAULI_X)]
+    return make_model(2, edges, [bob], edges, qubits_per_half=m)
 
 
 def _pauli_vector(v: np.ndarray) -> np.ndarray:
@@ -137,15 +143,16 @@ def fit_bob_observables(state: BellChainState, edge_observables):
 def optimal_model(n: int, qubits_per_half: int | None = None) -> QuantumModel:
     """Model attaining the ceiling 2^(n-1) sqrt(n), where one exists.
 
-    Succeeds for n=2.  For n in {3,4,5} the ceiling is strict: the builder
-    assembles the best known construction, measures it, and raises
-    ConstructionFailedError carrying the model and its diagnostics.
+    Succeeds for n=2, on any qubits_per_half.  For n in {3,4,5} the ceiling
+    is strict: the builder assembles the best known construction, measures
+    it, and raises ConstructionFailedError carrying the model and its
+    diagnostics.
     """
     if n not in SUPPORTED_N:
         raise CapacityError(f"optimal_model supports n in {SUPPORTED_N}, got {n}")
     expected = tsirelson_ceiling(n)
     if n == 2:
-        model = _explicit_n2()
+        model = _explicit_n2(default_layout(n, qubits_per_half).qubits_per_half)
         beta, _ = beta_quantum(model)
         assert abs(beta - expected) < 1e-12
         return model

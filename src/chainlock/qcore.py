@@ -245,15 +245,32 @@ def anticommutator_report(observables) -> np.ndarray:
 # dense evaluator
 
 def apply_to_slot(amplitudes: np.ndarray, op: np.ndarray, start: int, count: int,
-                  total: int) -> np.ndarray:
-    """Apply a 2^count-dim operator to the contiguous qubit block [start, start+count)."""
+                  total: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Apply a 2^count-dim operator to the contiguous qubit block [start, start+count).
+
+    With ``out`` the same ``np.matmul`` writes the product there (same bits) and
+    ``out`` is returned.  It must be a C-contiguous vector of the product's shape
+    and dtype that does not overlap ``amplitudes``: ``np.matmul`` would otherwise
+    work through a hidden copy.
+    """
     dim = 2 ** count
     if op.shape != (dim, dim):
         raise ShapeError(f"operator shape {op.shape} does not fit a {count}-qubit slot")
     pre, post = 2 ** start, 2 ** (total - start - count)
+    if out is not None:
+        dtype = np.result_type(op, amplitudes)
+        if out.shape != amplitudes.shape or out.dtype != dtype or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a C-contiguous {dtype} vector of shape "
+                             f"{amplitudes.shape}")
+        if np.shares_memory(out, amplitudes):
+            raise ValueError("out overlaps the input vector")
     if post == 1:  # one (pre x dim) product beats a batch of length-dim columns
-        return (amplitudes.reshape(pre, dim) @ op.T).reshape(-1)
-    return (op @ amplitudes.reshape(pre, dim, post)).reshape(-1)
+        res = np.matmul(amplitudes.reshape(pre, dim), op.T,
+                        out=None if out is None else out.reshape(pre, dim))
+    else:
+        res = np.matmul(op, amplitudes.reshape(pre, dim, post),
+                        out=None if out is None else out.reshape(pre, dim, post))
+    return res.reshape(-1) if out is None else out
 
 
 def _real_or_raise(value: complex, what: str) -> float:
@@ -292,16 +309,49 @@ def term_vectors(model: QuantumModel, ya, yc):
 
     B_i is the product of the central operators term i reads and Y^A_i, Y^C_i
     are its signed edge sums, so J_i = <(Y^A_i (x) Y^C_i) psi | B_i psi>.
+
+    A depth-first walk over the term table, in its row order: level t holds
+    B^t ... B^1|psi> for the current row's leading inputs, and each row
+    recomputes only the levels after the first input that differs from the
+    previous row.  Every vector is the float sequence of applying the term's
+    operators one by one to |psi>.
+
+    The walk writes into buffers allocated once per call and holds at most four
+    state vectors besides the amplitudes: phi_t, a work buffer (Alice's partial
+    product, then the term's last central operators) and the kept levels, the
+    n-2 leading ones up to n = 5 and two above, where the rest of each term
+    folds through a second work buffer.  Level 1 lives in the work buffer as
+    well, except at n = 3 where the last operator reads it, so it is rebuilt
+    with level 2: two more applications per call for one vector less.  The
+    yielded pair are views of those buffers, valid until the next step; the
+    caller may overwrite them.
     """
-    lay = model.layout
+    n, lay = model.n, model.layout
     total = lay.total_qubits
     amp = model.state.amplitudes
-    for i, row in enumerate(build_encoding(model.n).central):
-        phi_b = amp
-        for t, y in enumerate(row, start=1):
-            phi_b = apply_to_slot(phi_b, model.bobs[t - 1][y].matrix, *lay.bob_slot(t), total)
-        phi_t = apply_to_slot(amp, ya[i], *lay.alice_slot(), total)
-        phi_t = apply_to_slot(phi_t, yc[i], *lay.charlie_slot(), total)
+    keep = n - 2 if n <= 5 else 2
+    work = [np.empty_like(amp) for _ in range(min(2, n - 1 - keep))]
+    shared = keep > 1  # level 1 lives in the work buffer, except at n = 3
+    levels = work[:shared] + [np.empty_like(amp) for _ in range(keep - shared)]
+    phi_t = np.empty_like(amp)
+
+    def central(t, row, src, dst):
+        return apply_to_slot(src, model.bobs[t][row[t]].matrix, *lay.bob_slot(t + 1), total,
+                             out=dst)
+
+    prev = [-1] * keep
+    for i, row in enumerate(build_encoding(n).central.tolist()):
+        first = next((t for t in range(keep) if row[t] != prev[t]), keep)
+        if first == 1 and shared:  # level 1 was overwritten
+            first = 0
+        for t in range(first, keep):
+            central(t, row, levels[t - 1] if t else amp, levels[t])
+        prev = row
+        apply_to_slot(amp, ya[i], *lay.alice_slot(), total, out=work[0])
+        apply_to_slot(work[0], yc[i], *lay.charlie_slot(), total, out=phi_t)
+        phi_b = levels[-1] if keep else amp
+        for t in range(keep, n - 1):
+            phi_b = central(t, row, phi_b, work[(t - keep) % 2])
         yield phi_b, phi_t
 
 

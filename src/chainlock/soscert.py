@@ -85,7 +85,9 @@ def _residuals(model: QuantumModel, ya, yc, omega_a, omega_c) -> list[float]:
         if omega <= DEGENERATE_TOL:
             raise DegenerateCertificateError(
                 f"term {i + 1}: signed edge combination annihilates the state")
-        out.append(float(np.linalg.norm(phi_b - phi_t / omega)))
+        # phi_b - phi_t / omega, formed in the term's own phi_t buffer
+        np.divide(phi_t, omega, out=phi_t)
+        out.append(float(np.linalg.norm(np.subtract(phi_b, phi_t, out=phi_t))))
     return out
 
 

@@ -3,9 +3,12 @@
 The tests' independent reference for the stacked folds of ``chainlock.qcore``:
 a stacked fold must run, for each term, exactly this float sequence.  On each
 link <phi| P (x) Q |phi> = tr(P Q^T)/d, so a chain of n links is a product of
-d x d transfers with one global 1/d^n factor.
+d x d transfers with one global 1/d^n factor.  ``dense_term_vectors`` is the
+same kind of reference for the dense term walk.
 """
 import numpy as np
+
+from chainlock.qcore import apply_to_slot
 
 
 def _legs(op, d):
@@ -58,3 +61,19 @@ def edge_slot(side, ops, other, d, n):
 def signed_sums(signs, mats):
     """Y_i = sum_x signs[i, x] M_x, added x by x."""
     return [sum(s[x] * mats[x] for x in range(len(mats))) for s in signs]
+
+
+def dense_term_vectors(model, ya, yc, central):
+    """(B_i|psi>, (Y^A_i (x) Y^C_i)|psi>) per row of central, from scratch.
+
+    Each term's operators are applied one by one, each into a fresh vector:
+    its central operators in party order, then Y^A_i and Y^C_i.
+    """
+    lay, amp = model.layout, model.state.amplitudes
+    total = lay.total_qubits
+    for i, row in enumerate(central):
+        phi_b = amp
+        for t, y in enumerate(row, start=1):
+            phi_b = apply_to_slot(phi_b, model.bobs[t - 1][y].matrix, *lay.bob_slot(t), total)
+        phi_t = apply_to_slot(amp, ya[i], *lay.alice_slot(), total)
+        yield phi_b, apply_to_slot(phi_t, yc[i], *lay.charlie_slot(), total)

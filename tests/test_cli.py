@@ -96,6 +96,18 @@ def test_quantum_n2(capsys):
     assert max(data["residuals"]) < 1e-9
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_quantum_dump_model_reports_requested_pairs(capsys, m):
+    code, out, _ = run_cli(capsys, "quantum", "--n", "2", "--pairs-per-source", str(m),
+                           "--dump-model")
+    assert code == 0
+    data = json.loads(out)
+    assert data["model"]["qubits_per_half"] == m
+    assert len(data["model"]["bobs"][0][0]) == 4 ** m
+    assert data["beta"] == pytest.approx(2 * math.sqrt(2), abs=1e-9)  # printed to 12 digits
+    assert max(data["residuals"]) < 1e-9
+
+
 def test_quantum_n3_reports_failure(capsys):
     code, out, _ = run_cli(capsys, "quantum", "--n", "3")
     assert code == 1

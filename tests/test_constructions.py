@@ -7,7 +7,7 @@ from chainlock.constructions import fit_bob_observables, optimal_model
 from chainlock.errors import CapacityError, ConstructionFailedError, UnsupportedStateError
 from chainlock.qcore import (PAULI_X, PAULI_Z, NetworkState, QuantumModel, bell_chain_state,
                              beta_quantum, jordan_wigner_set, kron_all)
-from chainlock.soscert import tsirelson_ceiling
+from chainlock.soscert import certify, tsirelson_ceiling
 
 SQ2 = math.sqrt(2)
 
@@ -29,6 +29,16 @@ def test_optimal_model_n2():
     beta, terms = beta_quantum(model)
     assert beta == pytest.approx(2 * SQ2, abs=1e-12)
     assert terms == pytest.approx([2.0, 2.0], abs=1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_optimal_model_n2_on_more_pairs(m):
+    # the CHSH chain on the first pair of each source, the identity on the rest
+    model = optimal_model(2, qubits_per_half=m)
+    assert model.layout.qubits_per_half == m
+    beta, _ = beta_quantum(model)
+    assert beta == pytest.approx(2 * SQ2, abs=1e-14)
+    assert certify(model).certified
 
 
 def test_optimal_model_unsupported():

@@ -1,20 +1,25 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainlock import qcore
 from chainlock.errors import (CapacityError, NumericalConsistencyError, ShapeError,
                               UnsupportedStateError)
 from chainlock.qcore import (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, ChainLayout, NetworkState,
-                             Observable, anticommutator_report, apply_to_slot,
+                             Observable, QuantumModel, anticommutator_report, apply_to_slot,
                              bell_chain_state, beta_quantum, correlator_contracted,
-                             correlator_dense, default_layout, dichotomic_projection,
+                             correlator_dense, default_layout, dichotomic_projection, edge_sums,
                              jordan_wigner_set, kron_all, make_model, model_from_json_dict,
-                             model_to_json_dict, random_dichotomic, reduced_density)
-from reference_folds import (bob_slot, chain_value, close_one, edge_slot, open_one, pull_one,
-                             push_one)
+                             model_to_json_dict, random_dichotomic, reduced_density,
+                             signed_sums, term_values, term_vectors)
+from chainlock.scenario import TermTable, build_encoding
+from chainlock.soscert import condition_residuals
+from reference_folds import (bob_slot, chain_value, close_one, dense_term_vectors, edge_slot,
+                             open_one, pull_one, push_one)
 
 SQ2 = np.sqrt(2.0)
 
@@ -304,11 +309,93 @@ def test_apply_to_slot_matches_einsum_reference(n, m):
         assert got.shape == amp.shape
         assert np.max(np.abs(got - want)) < 1e-14
         assert not np.shares_memory(got, amp)
+        buf = np.full_like(amp, np.nan)
+        assert apply_to_slot(amp, op, start, count, total, out=buf) is buf
+        assert buf.tobytes() == got.tobytes()  # the out= path runs the same product
         got[0] += 1.0  # a fresh, writable array
         with pytest.raises(ShapeError):
             apply_to_slot(amp, np.eye(dim + 1), start, count, total)
+        work = amp.copy()
+        bad_outs = [work, work[::-1], np.empty(amp.size // 2, complex),
+                    np.empty(amp.shape, np.complex64), np.empty(2 * amp.size, complex)[::2]]
+        for bad in bad_outs:  # overlapping, wrong shape, dtype or layout: no hidden copy
+            with pytest.raises(ValueError):
+                apply_to_slot(work, op, start, count, total, out=bad)
     assert not amp.flags.writeable
     assert np.array_equal(amp, before)
+
+
+def assert_walk_equals_reference(model, ya, yc, central):
+    """Copies of the walk's pairs equal the from-scratch vectors bit for bit."""
+    got = [(phi_b.copy(), phi_t.copy()) for phi_b, phi_t in term_vectors(model, ya, yc)]
+    want = list(dense_term_vectors(model, ya, yc, central))
+    assert len(got) == len(want) == len(central)
+    for (gb, gt), (wb, wt) in zip(got, want):
+        assert gb.tobytes() == wb.tobytes()
+        assert gt.tobytes() == wt.tobytes()
+
+
+@pytest.mark.parametrize("n,m", [(n, m) for m in (1, 2) for n in range(2, 8)
+                                 if 2 * n * m <= 16])
+def test_term_walk_equals_fresh_vectors(n, m):
+    # n <= 5 keeps every leading level, n = 6, 7 keep two and fold the rest
+    # through both work buffers (either one ends the term); level 1 is rebuilt
+    # in the work buffer from n = 4
+    model = random_model_mats(n, m, np.random.default_rng(40 + 10 * n + m))
+    ya, yc = edge_sums(n, model.alice, model.charlie)
+    assert_walk_equals_reference(model, ya, yc, build_encoding(n).central)
+
+
+def test_term_walk_on_explicit_amplitudes():
+    rng = np.random.default_rng(8)
+    bell = random_model_mats(3, 1, rng)
+    psi = rng.normal(size=2 ** 6) + 1j * rng.normal(size=2 ** 6)
+    model = QuantumModel(state=NetworkState(psi / np.linalg.norm(psi), bell.layout),
+                         alice=bell.alice, bobs=bell.bobs, charlie=bell.charlie)
+    ya, yc = edge_sums(3, model.alice, model.charlie)
+    assert_walk_equals_reference(model, ya, yc, build_encoding(3).central)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_term_walk_in_any_row_order(monkeypatch, n):
+    table = build_encoding(n)
+    perm = np.random.default_rng(n).permutation(table.terms)
+    shuffled = TermTable(n=n, signs=table.signs[perm], central=table.central[perm])
+    monkeypatch.setattr(qcore, "build_encoding", lambda k: shuffled)
+    model = random_model_mats(n, 1, np.random.default_rng(50 + n))
+    mats = [[o.matrix for o in ops] for ops in (model.alice, model.charlie)]
+    ya, yc = (signed_sums(shuffled.signs, m) for m in mats)
+    assert_walk_equals_reference(model, ya, yc, shuffled.central)
+
+
+@pytest.mark.parametrize("n,applied", [(2, 6), (3, 14), (4, 32), (5, 64), (6, 168)])
+def test_term_walk_shares_leading_levels(monkeypatch, n, applied):
+    # two edge operators per term; a kept central level is recomputed only when
+    # its input or an earlier one changes (up to n = 5 every level before the
+    # last, above it the two leading ones), level 1 also when level 2 is (from
+    # n = 4).  From scratch it is (n + 1) 2^(n-1).
+    calls = []
+    monkeypatch.setattr(qcore, "apply_to_slot",
+                        lambda *a, **k: calls.append(a) or apply_to_slot(*a, **k))
+    term_values(random_model_mats(n, 1, np.random.default_rng(n)), evaluator="dense")
+    assert len(calls) == applied
+
+
+@pytest.mark.parametrize("n,m", [(3, 2), (4, 2), (5, 2), (6, 1), (7, 1), (8, 1)])
+def test_dense_term_routes_hold_four_vectors(n, m):
+    # the walk holds at most 4 state vectors besides the amplitudes, which are
+    # built before tracing; the extra half vector covers the small arrays.
+    # Keeping every level alive would hold n.
+    model = random_model_mats(n, m, np.random.default_rng(n))
+    vector = model.state.amplitudes.nbytes
+    for route in (condition_residuals, lambda mo: term_values(mo, evaluator="dense")):
+        tracemalloc.start()
+        try:
+            route(model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * vector
 
 
 def test_beta_invariant_under_local_unitary():
