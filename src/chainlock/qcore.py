@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +79,14 @@ class ChainLayout:
     qubits_per_half: int
 
     def __post_init__(self):
+        for name in ("n", "qubits_per_half"):  # plain ints, so the layout dumps to JSON
+            value = getattr(self, name)
+            try:
+                if isinstance(value, bool):  # an int subclass in Python
+                    raise TypeError
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.n < 2:
             raise ValueError(f"need n >= 2, got {self.n}")
         if self.qubits_per_half < 1:
@@ -363,24 +372,45 @@ def term_vectors(model: QuantumModel, ya, yc):
 # bobs[t][central[i, t]] at central party t+1 (``central``: the term table's
 # 0-based inputs).  Every route is one of two folds, one party at a time: left
 # environments pushed forward or right ones pulled back, on each link
-# <phi| P (x) Q |phi> = tr(P Q^T)/d.  A party folds the readers of each of its
-# operators ([bra l, bra r, ket l, ket r] legs) in one ``einsum``, without a
-# per-term copy; for each term that is the float sequence of a one-term fold.
-# The leading ``...`` axes stack independent models (the starts of an
-# ascent): an operator is (D, D) or (..., D, D), and environments, operators
-# and weights broadcast against each other, each model on its own float
-# sequence.
+# <phi| P (x) Q |phi> = tr(P Q^T)/d.  A fold is a row product: each term's
+# environment, flattened to a row vec(E_i) of length d^2, times its operator
+# with the legs permuted into a (d^2, d^2) transfer matrix, all terms that
+# read the operator in one broadcast ``np.matmul`` with a row of length 1 per
+# term.  That per-term product is one BLAS call whose float order does not
+# depend on how many terms or stacked models share the ``matmul`` call, so a
+# stacked fold runs, for each term, the float sequence of a one-term fold.
+# (A multi-row gemm would not: a row inside a larger product may differ in
+# its last bits from the same row on its own.)  The leading ``...`` axes stack
+# independent models (the starts of an ascent): an operator is (D, D) or
+# (..., D, D), and environments, operators and weights broadcast against each
+# other, each model on its own float sequence.
 
-def _fold(spec: str, envs: np.ndarray, bobs, central, t: int, d: int) -> np.ndarray:
+def _permute_legs(mat: np.ndarray, d: int, legs: tuple) -> np.ndarray:
+    """(..., d^2, d^2) matrices with their four d-dim legs (numbered 1..4) in order ``legs``."""
+    flat = mat.reshape((-1, d, d, d, d)).transpose((0, *legs))
+    return flat.reshape(mat.shape[:-2] + (d * d, d * d))
+
+
+def _transfer(op, d: int, forward: bool) -> np.ndarray:
+    """op's legs permuted into the (d^2, d^2) matrix T of a fold, vec(E') = vec(E) T.
+
+    op has [bra l, bra r, ket l, ket r] legs; a forward (push) fold maps
+    (bra l, ket l) to (bra r, ket r), a backward (pull) fold the reverse.
+    """
+    return _permute_legs(np.asarray(op, dtype=complex), d,
+                         (1, 3, 2, 4) if forward else (2, 4, 1, 3))
+
+
+def _fold(envs: np.ndarray, bobs, central, t: int, d: int, forward: bool) -> np.ndarray:
     """envs through central party t+1, each term through the operator it reads."""
-    ops = [np.asarray(op, dtype=complex) for op in bobs[t]]
-    batch = np.broadcast_shapes(envs.shape[:-3], *(op.shape[:-2] for op in ops))
-    out = np.empty(batch + envs.shape[-3:], dtype=complex)
-    for y, op in enumerate(ops):
+    mats = [_transfer(op, d, forward)[..., None, :, :] for op in bobs[t]]
+    batch = np.broadcast_shapes(envs.shape[:-3], *(m.shape[:-3] for m in mats))
+    rows = envs.reshape(envs.shape[:-2] + (1, d * d))
+    out = np.empty(batch + rows.shape[-3:], dtype=complex)
+    for y, mat in enumerate(mats):
         m = central[:, t] == y
-        out[..., m, :, :] = np.einsum(spec, envs[..., m, :, :],
-                                      op.reshape(op.shape[:-2] + (d, d, d, d)))
-    return out
+        out[..., m, :, :] = np.matmul(rows[..., m, :, :], mat)
+    return out.reshape(out.shape[:-2] + (d, d))
 
 
 def push(lefts: np.ndarray, bobs, central, d: int, start: int = 0,
@@ -388,7 +418,7 @@ def push(lefts: np.ndarray, bobs, central, d: int, start: int = 0,
     """Left environments pushed forward through central parties start+1..stop (default n-1)."""
     lefts = np.asarray(lefts, dtype=complex)
     for t in range(start, central.shape[1] if stop is None else stop):
-        lefts = _fold("...iab,...acbd->...icd", lefts, bobs, central, t, d)
+        lefts = _fold(lefts, bobs, central, t, d, forward=True)
     return lefts
 
 
@@ -396,7 +426,7 @@ def pull(rights: np.ndarray, bobs, central, d: int) -> list[np.ndarray]:
     """envs[k] = right environments pulled back through central parties k+1..n-1."""
     envs = [np.asarray(rights, dtype=complex)]
     for t in reversed(range(central.shape[1])):
-        envs.append(_fold("...icd,...acbd->...iab", envs[-1], bobs, central, t, d))
+        envs.append(_fold(envs[-1], bobs, central, t, d, forward=False))
     return envs[::-1]
 
 
@@ -508,13 +538,11 @@ def beta_quantum(model: QuantumModel,
 # open-slot functionals (used by the seesaw and the condition fitter)
 #
 # ``CentralSweep`` keeps the stacked environments through a left-to-right
-# pass, so a slot matrix is its readers' ``open_slots``, weighted and summed
-# in term order.  A cached environment is the float sequence of a fresh fold,
-# so cached and fresh values are equal bit for bit.
-
-# 4 MB of open-slot matrices over all stacked models: 64 at d = 8 for one
-# model, one from d = 32 up
-_SLOT_STACK_BYTES = 1 << 22
+# pass, so a slot matrix is one gemm over the slot's readers: their weighted
+# left environments against their right ones, legs permuted into the slot's
+# operator layout.  Stacked models get one gemm each, on the float sequence
+# of the model alone.  A cached environment is the float sequence of a fresh
+# fold, so cached and fresh values are equal bit for bit.
 
 def signed_sums(signs: np.ndarray, mats) -> np.ndarray:
     """Y_i = sum_x signs[i, x] M_x for every term: the signed edge combinations.
@@ -560,19 +588,19 @@ class CentralSweep:
         """W = sum_i weights[i] G_i over the readers of slot (t, y).
 
         G_i is term i's open-slot matrix, so an operator B placed in the slot
-        gives tr(B W) = sum_i weights[i] <L_i (x) B_i (x) R_i>.
+        gives tr(B W) = sum_i weights[i] <L_i (x) B_i (x) R_i>.  The sum is one
+        gemm, (w L)^T R over the readers' flattened environments, with its
+        [bra l, ket l, bra r, ket r] legs then permuted so that tr(B W)
+        contracts them with B's.
         """
-        d, n, readers = self.d, self.n, self.readers(t, y)
-        left, right, weights = self.left, self.right[t + 1], np.asarray(weights)
-        batch = np.broadcast_shapes(left.shape[:-3], right.shape[:-3], weights.shape[:-1])
-        w = np.zeros(batch + (1, d * d, d * d), dtype=complex)
-        step = max(1, _SLOT_STACK_BYTES // (16 * d ** 4 * math.prod(batch)))
-        for s in range(0, len(readers), step):  # w stays first: G_i add to it in term order
-            i = readers[s:s + step]
-            g = weights[..., i, None, None] * open_slots(left[..., i, :, :],
-                                                         right[..., i, :, :], d, n)
-            w = np.concatenate([w, g], axis=-3).sum(-3, keepdims=True)
-        return w[..., 0, :, :]
+        d, n, i = self.d, self.n, self.readers(t, y)
+
+        def rows(envs):  # the readers' environments as rows vec(E_i)
+            return envs[..., i, :, :].reshape(envs.shape[:-3] + (len(i), d * d))
+
+        left = np.asarray(weights)[..., i, None] * rows(self.left)
+        w = np.matmul(left.swapaxes(-1, -2), rows(self.right[t + 1]))
+        return _permute_legs(w, d, (2, 4, 1, 3)) / d ** n  # [ket l, ket r, bra l, bra r]
 
     def refold(self, t: int, y: int) -> tuple[np.ndarray, np.ndarray]:
         """The readers of slot (t, y) and their chain values with the operator now in it."""

@@ -65,6 +65,9 @@ class SeesawConfig:
                 raise ValueError(f"need an integer {name} >= {low}, got {value!r}")
         if not (number(self.tolerance, (int, float)) and 0 < self.tolerance < math.inf):
             raise ValueError(f"need a finite tolerance > 0, got {self.tolerance!r}")
+        m = self.qubits_per_half
+        if not (m is None or (number(m, (int, np.integer)) and m >= 1)):
+            raise ValueError(f"need qubits_per_half None or an integer >= 1, got {m!r}")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,16 @@
-"""Per-term chain folds: one ``einsum`` per term and central party.
+"""Per-term chain folds: one row product per term and central party.
 
 The tests' independent reference for the stacked folds of ``chainlock.qcore``:
 a stacked fold must run, for each term, exactly this float sequence.  On each
 link <phi| P (x) Q |phi> = tr(P Q^T)/d, so a chain of n links is a product of
-d x d transfers with one global 1/d^n factor.  ``dense_term_vectors`` is the
-same kind of reference for the dense term walk.
+d x d transfers with one global 1/d^n factor.  A transfer is the environment
+flattened to a row times the operator's legs permuted into a d^2 x d^2
+matrix, and a slot matrix is one gemm over the terms that read the slot.
+
+The ``einsum_*`` folds contract the same legs with ``einsum``, on their own
+float sequence: an oracle for the leg bookkeeping, equal to the row products
+up to rounding.  ``dense_term_vectors`` is the reference for the dense term
+walk.
 """
 import numpy as np
 
@@ -16,20 +22,24 @@ def _legs(op, d):
     return np.asarray(op, dtype=complex).reshape(d, d, d, d)
 
 
+def _row(env, d):
+    return np.asarray(env, dtype=complex).reshape(1, d * d)
+
+
 def push_one(env, ops, d):
     """A left environment pushed forward through the central operators ops."""
-    env = np.asarray(env, dtype=complex)
-    for op in ops:
-        env = np.einsum("ab,acbd->cd", env, _legs(op, d))
-    return env
+    row = _row(env, d)
+    for op in ops:  # [bra l, ket l] -> [bra r, ket r]
+        row = row @ _legs(op, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    return row.reshape(d, d)
 
 
 def pull_one(env, ops, d):
     """A right environment pulled back through the central operators ops."""
-    env = np.asarray(env, dtype=complex)
-    for op in reversed(ops):
-        env = np.einsum("cd,acbd->ab", env, _legs(op, d))
-    return env
+    row = _row(env, d)
+    for op in reversed(ops):  # [bra r, ket r] -> [bra l, ket l]
+        row = row @ _legs(op, d).transpose(1, 3, 0, 2).reshape(d * d, d * d)
+    return row.reshape(d, d)
 
 
 def close_one(left, right, d, n):
@@ -42,20 +52,52 @@ def open_one(left, right, d, n):
     return np.einsum("ab,cd->bdac", left, right).reshape(d * d, d * d) / d ** n
 
 
+def slot_sum(lefts, rights, weights, d, n):
+    """sum_k weights[k] open_one(lefts[k], rights[k]) as one gemm over the terms."""
+    x = np.array([w * _row(env, d)[0] for w, env in zip(weights, lefts)])
+    w = x.T @ np.array([_row(env, d)[0] for env in rights])
+    return w.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d) / d ** n
+
+
 def chain_value(a, ops, c, d):
     """<a (x) ops (x) c> on a chain of len(ops) + 1 links."""
     return close_one(push_one(a, ops, d), c, d, len(ops) + 1)
 
 
-def bob_slot(a, before, after, c, d, n):
-    """Open-slot matrix of the central operator between before and after."""
-    return open_one(push_one(a, before, d), pull_one(c, after, d), d, n)
+def bob_slot(chains, weights, t, d, n):
+    """sum_k weights[k] G_k over the chains (a, ops, c), central party t+1 left open."""
+    return slot_sum([push_one(a, ops[:t], d) for a, ops, _ in chains],
+                    [pull_one(c, ops[t + 1:], d) for _, ops, c in chains], weights, d, n)
 
 
 def edge_slot(side, ops, other, d, n):
     """Open-slot matrix of Alice's or Charlie's edge operator."""
     env = pull_one(other, ops, d) if side == "alice" else push_one(other, ops, d)
     return env.T / d ** n
+
+
+def einsum_push(env, ops, d):
+    """push_one, contracted by ``einsum``."""
+    env = np.asarray(env, dtype=complex)
+    for op in ops:
+        env = np.einsum("ab,acbd->cd", env, _legs(op, d))
+    return env
+
+
+def einsum_pull(env, ops, d):
+    """pull_one, contracted by ``einsum``."""
+    env = np.asarray(env, dtype=complex)
+    for op in reversed(ops):
+        env = np.einsum("cd,acbd->ab", env, _legs(op, d))
+    return env
+
+
+def einsum_slot(lefts, rights, weights, d, n):
+    """slot_sum as a sequential sum of weighted open-slot matrices."""
+    w = np.zeros((d * d, d * d), dtype=complex)
+    for weight, left, right in zip(weights, lefts, rights):
+        w += weight * open_one(left, right, d, n)
+    return w
 
 
 def signed_sums(signs, mats):

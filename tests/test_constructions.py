@@ -78,8 +78,8 @@ def test_optimal_model_n4_residuals_pinned():
     with pytest.raises(ConstructionFailedError) as exc:
         optimal_model(4)
     assert list(exc.value.residuals) == [
-        0.9999999797012797, 0.9999999643571016, 1.000000035642898, 1.0000000202987214,
-        0.9999999643571016, 0.9999999797012797, 1.0000000202987214, 1.0000000356428977]
+        0.9999999797012795, 0.9999999643571015, 1.0000000356428982, 1.0000000202987218,
+        0.9999999643571011, 0.9999999797012795, 1.0000000202987216, 1.0000000356428984]
 
 
 def test_optimal_model_n3_two_pairs_still_obstructed():

@@ -19,7 +19,7 @@ from chainlock.qcore import (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, ChainLayout, Ne
 from chainlock.scenario import TermTable, build_encoding
 from chainlock.soscert import condition_residuals
 from reference_folds import (bob_slot, chain_value, close_one, dense_term_vectors, edge_slot,
-                             open_one, pull_one, push_one)
+                             einsum_pull, einsum_push, einsum_slot, open_one, pull_one, push_one)
 
 SQ2 = np.sqrt(2.0)
 
@@ -71,6 +71,21 @@ def test_layout_slots():
     assert lay.charlie_slot() == (5, 1)
     with pytest.raises(IndexError):
         lay.bob_slot(3)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n", True), ("n", 3.0), ("n", "3"), ("qubits_per_half", True),
+    ("qubits_per_half", 2.0), ("qubits_per_half", np.True_),
+])
+def test_layout_rejects_non_integers(field, value):
+    with pytest.raises(ValueError, match=field):
+        ChainLayout(**{"n": 3, "qubits_per_half": 1, field: value})
+
+
+def test_layout_normalises_numpy_integers():
+    lay = ChainLayout(n=np.int64(3), qubits_per_half=np.int32(2))
+    assert (lay.n, lay.qubits_per_half) == (3, 2)
+    assert type(lay.n) is int and type(lay.qubits_per_half) is int
 
 
 def test_default_layout_half_counts():
@@ -541,10 +556,11 @@ def test_cached_environments_equal_fresh_folds(n, m):
     for t in range(n - 1):
         for y in range(2):
             readers = sweep.readers(t, y)
+            chains = [(ya[i], ops(table.central[i]), yc[i]) for i in readers]
             for i in readers:
-                row = ops(table.central[i])
-                want = bob_slot(ya[i], row[:t], row[t + 1:], yc[i], d, n)
-                assert np.array_equal(sweep.slot_matrix(t, y, np.eye(table.terms)[i]), want)
+                weights = np.eye(table.terms)[i]
+                want = bob_slot(chains, weights[readers], t, d, n)
+                assert np.array_equal(sweep.slot_matrix(t, y, weights), want)
             bobs[t][y] = random_dichotomic(d * d, rng)
             refolded, values = sweep.refold(t, y)
             assert np.array_equal(refolded, readers)
@@ -558,10 +574,9 @@ def test_cached_environments_equal_fresh_folds(n, m):
 
 @pytest.mark.parametrize("d", [2, 4, 8])
 @pytest.mark.parametrize("n", range(2, 7))
-def test_stacked_folds_equal_per_term_folds(n, d, monkeypatch):
+def test_stacked_folds_equal_per_term_folds(n, d):
     # every stacked fold runs, term by term, the float sequence of the
-    # one-term einsum fold, and a slot matrix adds its terms in order as a
-    # sequential += does, also when its open-slot stack is cut into pieces
+    # one-term row product, and a slot matrix is the one gemm over its readers
     from chainlock import qcore
     from chainlock.scenario import build_encoding
     rng = np.random.default_rng(1000 * n + d)
@@ -588,27 +603,23 @@ def test_stacked_folds_equal_per_term_folds(n, d, monkeypatch):
         assert np.array_equal(g, open_one(lefts[i], rights[i], d, n))
 
     weights = rng.normal(size=terms)
-    slot_bytes = 16 * d ** 4
-    for budget in (qcore._SLOT_STACK_BYTES, 3 * slot_bytes, slot_bytes // 2):
-        monkeypatch.setattr(qcore, "_SLOT_STACK_BYTES", budget)
-        sweep = qcore.CentralSweep(lefts, rights, bobs, central, d)
-        for t in range(n - 1):
-            for y in range(2):
-                want = np.zeros((d * d, d * d), dtype=complex)
-                for i in sweep.readers(t, y):
-                    want += weights[i] * bob_slot(lefts[i], ops[i][:t], ops[i][t + 1:],
-                                                  rights[i], d, n)
-                assert np.array_equal(sweep.slot_matrix(t, y, weights), want)
-            sweep.advance(t)
+    sweep = qcore.CentralSweep(lefts, rights, bobs, central, d)
+    for t in range(n - 1):
+        for y in range(2):
+            readers = sweep.readers(t, y)
+            want = bob_slot([(lefts[i], ops[i], rights[i]) for i in readers], weights[readers],
+                            t, d, n)
+            assert np.array_equal(sweep.slot_matrix(t, y, weights), want)
+        sweep.advance(t)
 
 
 @pytest.mark.parametrize("d", [2, 4, 8])
 @pytest.mark.parametrize("n", range(2, 6))
-def test_stacked_models_equal_lone_models(n, d, monkeypatch):
+def test_stacked_models_equal_lone_models(n, d):
     # a leading model axis runs each model on its own float sequence: folds,
-    # slot matrices (also cut into pieces), refolds, signed sums and
-    # projections of a stack of 3 equal those of each model alone, also when
-    # the environments are shared and only the operators are stacked
+    # slot matrices, refolds, signed sums and projections of a stack of 3
+    # equal those of each model alone, also when the environments are shared
+    # and only the operators are stacked
     from chainlock import qcore
     from chainlock.scenario import build_encoding
     rng = np.random.default_rng(100 * n + d)
@@ -645,29 +656,98 @@ def test_stacked_models_equal_lone_models(n, d, monkeypatch):
         assert np.array_equal(qcore.dichotomic_projection(hermitian)[k],
                               qcore.dichotomic_projection(hermitian[k]))
 
-    slot_bytes = 16 * d ** 4
-    for budget in (qcore._SLOT_STACK_BYTES, 3 * models * slot_bytes, slot_bytes // 2):
-        monkeypatch.setattr(qcore, "_SLOT_STACK_BYTES", budget)
-        stacked = qcore.CentralSweep(lefts, rights, bobs, central, d)
-        lones = [qcore.CentralSweep(lefts[k], rights[k], lone(k), central, d)
-                 for k in range(models)]
-        for t in range(n - 1):
-            for y in range(2):
-                w = stacked.slot_matrix(t, y, weights)
-                new = cplx(models, d * d, d * d)
-                bobs[t][y] = new
-                readers, values = stacked.refold(t, y)
-                for k, sweep in enumerate(lones):
-                    assert np.array_equal(w[k], sweep.slot_matrix(t, y, weights[k]))
-                    sweep.bobs[t][y] = new[k]
-                    lone_readers, lone_values = sweep.refold(t, y)
-                    assert np.array_equal(readers, lone_readers)
-                    assert np.array_equal(values[k], lone_values)
-            stacked.advance(t)
-            for sweep in lones:
-                sweep.advance(t)
-        for k, sweep in enumerate(lones):
-            assert np.array_equal(stacked.left[k], sweep.left)
+    stacked = qcore.CentralSweep(lefts, rights, bobs, central, d)
+    lones = [qcore.CentralSweep(lefts[k], rights[k], lone(k), central, d)
+             for k in range(models)]
+    for t in range(n - 1):
+        for y in range(2):
+            w = stacked.slot_matrix(t, y, weights)
+            new = cplx(models, d * d, d * d)
+            bobs[t][y] = new
+            readers, values = stacked.refold(t, y)
+            for k, sweep in enumerate(lones):
+                assert np.array_equal(w[k], sweep.slot_matrix(t, y, weights[k]))
+                sweep.bobs[t][y] = new[k]
+                lone_readers, lone_values = sweep.refold(t, y)
+                assert np.array_equal(readers, lone_readers)
+                assert np.array_equal(values[k], lone_values)
+        stacked.advance(t)
+        for sweep in lones:
+            sweep.advance(t)
+    for k, sweep in enumerate(lones):
+        assert np.array_equal(stacked.left[k], sweep.left)
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n in range(2, 10) for m in (1, 2)] + [(8, 4)])
+def test_folds_match_einsum_oracle(n, m):
+    # the row products and the slot gemm contract the same legs as the
+    # einsum folds: push, pull, J_i and slot matrices agree to 1e-12 of the
+    # norm on random dichotomic models (m = 4 is n = 8 on the default layout)
+    from chainlock.qcore import CentralSweep, pull, push, term_expectations
+    rng = np.random.default_rng(10 * n + m)
+    model = random_model_mats(n, m, rng)
+    d, central = model.layout.link_dim, build_encoding(n).central
+    ya, yc = edge_sums(n, model.alice, model.charlie)
+    bobs = [[o.matrix for o in pair] for pair in model.bobs]
+    ops = [[bobs[t][y] for t, y in enumerate(row)] for row in central]
+
+    def within(got, want):
+        return np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    # lefts[t][i]: ya[i] pushed through term i's first t operators;
+    # rights[t][i]: yc[i] pulled back through its operators after party t
+    lefts, rights = [ya], [yc]
+    for t in range(n - 1):
+        lefts.append([einsum_push(env, row[t:t + 1], d) for env, row in zip(lefts[-1], ops)])
+        rights.append([einsum_pull(env, row[n - 2 - t:n - 1 - t], d)
+                       for env, row in zip(rights[-1], ops)])
+    rights = rights[::-1]
+    assert within(push(ya, bobs, central, d), np.array(lefts[-1]))
+    for got, want in zip(pull(yc, bobs, central, d), rights):
+        assert within(got, np.array(want))
+    assert within(term_expectations(ya, yc, bobs, central, d),
+                  np.array([close_one(env, c, d, n) for env, c in zip(lefts[-1], yc)]))
+    weights = rng.normal(size=len(central))
+    sweep = CentralSweep(ya, yc, bobs, central, d)
+    for t in range(n - 1):
+        for y in range(2):
+            i = sweep.readers(t, y)
+            want = einsum_slot([lefts[t][j] for j in i], [rights[t + 1][j] for j in i],
+                               weights[i], d, n)
+            assert within(sweep.slot_matrix(t, y, weights), want)
+        sweep.advance(t)
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_row_products_independent_of_batch(d):
+    # a fold is one row product per term: each term's row must not depend on
+    # how many terms share the matmul call (K), on which terms they are, on a
+    # strided view of the environments, or on the operators being stacked.
+    # A BLAS whose per-row results depend on the batch fails here first.
+    from chainlock.qcore import pull, push
+    rng = np.random.default_rng(d)
+
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    def pull_all(envs, bobs, central, d):
+        return pull(envs, bobs, central, d)[0]
+
+    models = 3
+    ops = cplx(models, 2, d * d, d * d)
+    for k in (4, 16, 64, 256):
+        envs = cplx(2 * k, d, d)[::2]  # a strided view
+        central = rng.integers(0, 2, size=(k, 1))
+        subset = rng.permutation(k)[:k // 3]
+        for fold in (push, pull_all):
+            got = fold(envs, [[ops[:, 0], ops[:, 1]]], central, d)
+            for s in range(models):
+                bobs = [[ops[s, 0], ops[s, 1]]]
+                assert np.array_equal(got[s], fold(envs, bobs, central, d))
+                for i in range(k):
+                    assert np.array_equal(got[s, i], fold(envs[i:i + 1], bobs, central[i:i + 1],
+                                                          d)[0])
+                assert np.array_equal(got[s, subset], fold(envs[subset], bobs, central[subset], d))
 
 
 @pytest.mark.parametrize("d", [2, 4])
