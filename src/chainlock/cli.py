@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 computation failure (failed construction, failed
 certification, unmet --require-certified, failed allocation), 2 usage error
-(bad options, or an n past a command's limit, such as ``bound --n`` above
-BRUTEFORCE_MAX_N, or above EXHAUSTIVE_MAX_N with --exhaustive, and ``sweep
---n-max`` above SWEEP_MAX_N, past which a row's ratio overflows a float).
+(bad options, or an n past a command's limit: ``bound --n`` above
+BRUTEFORCE_MAX_N, or EXHAUSTIVE_MAX_N with --exhaustive, ``quantum --n`` outside
+SUPPORTED_N, ``sweep --n-max`` above SWEEP_MAX_N, where a ratio overflows).
 Errors print as single-line JSON objects on stderr.
 """
 from __future__ import annotations
@@ -15,7 +15,7 @@ import os
 import sys
 from contextlib import nullcontext
 
-from .constructions import optimal_model
+from .constructions import SUPPORTED_N, optimal_model
 from .errors import CapacityError, ChainlockError, ConstructionFailedError
 from .nlocal import (BRUTEFORCE_MAX_N, EXHAUSTIVE_MAX_N, alpha_closed_form, bound_report,
                      lhv_exhaustive_max)
@@ -128,6 +128,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_quantum(args) -> int:
+    if args.n not in SUPPORTED_N:
+        return _fail(f"quantum supports n in {SUPPORTED_N}, got {args.n}", USAGE_ERROR)
     try:
         model = optimal_model(args.n, qubits_per_half=args.pairs_per_source)
     except ConstructionFailedError as err:
@@ -212,12 +214,8 @@ def _cmd_sweep(args) -> int:
                  "" if row["beta_constructed"] is None else f"{row['beta_constructed']:.12g}",
                  "" if row["certified"] is None else str(row["certified"]).lower()]
         lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
+    with _output(args.out) as fh:
+        fh.write("\n".join(lines) + "\n")
     return 0
 
 

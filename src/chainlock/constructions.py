@@ -15,13 +15,14 @@ import math
 
 import numpy as np
 
-from .errors import CapacityError, ConstructionFailedError
-from .qcore import (PAULI_X, PAULI_Y, PAULI_Z, BellChainState, Observable, QuantumModel,
-                    CentralSweep, bell_chain_state, beta_quantum, close, default_layout,
-                    dichotomic_projection, jordan_wigner_set, kron_all, make_model,
-                    random_dichotomic, require_bell_chain, signed_sums, term_expectations)
+from .errors import CapacityError, ConstructionFailedError, DegenerateCertificateError
+from .qcore import (DENSE_QUBIT_LIMIT, PAULI_X, PAULI_Y, PAULI_Z, BellChainState, Observable,
+                    QuantumModel, CentralSweep, bell_chain_state, beta_quantum, close,
+                    default_layout, dichotomic_projection, jordan_wigner_set, kron_all,
+                    make_model, random_dichotomic, require_bell_chain, signed_sums,
+                    term_expectations)
 from .scenario import build_encoding
-from .soscert import _omegas, condition_residuals, tsirelson_ceiling
+from .soscert import DEGENERATE_TOL, condition_residuals, tsirelson_ceiling
 
 SOLVE_RESIDUAL_TOL = 1e-8
 SUPPORTED_N = (2, 3, 4, 5)
@@ -33,17 +34,10 @@ def _explicit_n2(m: int) -> QuantumModel:
     """The CHSH chain on the first pair of each source, the identity on the other m-1."""
     a1 = (PAULI_Z + PAULI_X) / math.sqrt(2)
     a2 = (PAULI_Z - PAULI_X) / math.sqrt(2)
-    edges = [a1, a2]
-    bob = [kron_all(PAULI_Z, PAULI_Z), kron_all(PAULI_X, PAULI_X)]
-    if m > 1:
-        pad = np.eye(2 ** (m - 1))
-        edges = [np.kron(e, pad) for e in edges]
-        bob = [kron_all(p, pad, p, pad) for p in (PAULI_Z, PAULI_X)]
+    pad = np.eye(2 ** (m - 1))
+    edges = [np.kron(e, pad) for e in (a1, a2)]
+    bob = [kron_all(p, pad, p, pad) for p in (PAULI_Z, PAULI_X)]
     return make_model(2, edges, [bob], edges, qubits_per_half=m)
-
-
-def _pauli_vector(v: np.ndarray) -> np.ndarray:
-    return v[0] * PAULI_X + v[1] * PAULI_Y + v[2] * PAULI_Z
 
 
 def _explicit_n3() -> QuantumModel:
@@ -61,7 +55,8 @@ def _explicit_n3() -> QuantumModel:
 
     def aligned(t, y):  # unit average of the targets of the terms that read slot (t, y)
         v = sum(targets[i] for i in np.flatnonzero(table.central[:, t] == y))
-        return _pauli_vector(v / np.linalg.norm(v))
+        u = v / np.linalg.norm(v)
+        return u[0] * PAULI_X + u[1] * PAULI_Y + u[2] * PAULI_Z
 
     bob1 = [kron_all(aligned(0, y), PAULI_Z) for y in (0, 1)]
     bob2 = [kron_all(PAULI_Z, aligned(1, y)) for y in (0, 1)]
@@ -103,6 +98,11 @@ def _fit_starts(lefts, ys, bobs, central, d: int) -> list[tuple[list, float]]:
     return fitted
 
 
+def _bell_omegas(ys, d: int) -> np.ndarray:
+    """||Y_i|psi>|| = sqrt(tr(Y_i^2)/d) per term: each edge marginal of a Bell chain is I/d."""
+    return np.array([math.sqrt(max(0.0, float(np.trace(y @ y).real))) for y in ys]) / math.sqrt(d)
+
+
 def fit_bob_observables(state: BellChainState, edge_observables):
     """Least-squares fit of per-party central observables to the zero conditions.
 
@@ -114,20 +114,28 @@ def fit_bob_observables(state: BellChainState, edge_observables):
     left environments.  The identity start and FIT_EXTRA_STARTS seeded random
     starts sweep together as one stacked batch.  The per-term residuals are
     r_i = sqrt(2 - 2 overlap_i).  Returns (bobs, overlaps) for the best start
-    (ties keep the earliest); any state other than a Bell chain raises
-    UnsupportedStateError.
+    (ties keep the earliest).  Raises UnsupportedStateError off a Bell chain,
+    CapacityError past the dense state's bytes, DegenerateCertificateError
+    for a vanishing omega_i.
     """
     require_bell_chain(state)
     n, d = state.layout.n, state.layout.link_dim
+    # the stacked starts: 1 + FIT_EXTRA_STARTS complex d^2 x d^2 operators per central slot
+    need, limit = 16 * (1 + FIT_EXTRA_STARTS) * 2 * (n - 1) * d ** 4, 16 * 2 ** DENSE_QUBIT_LIMIT
+    if need > limit:
+        raise CapacityError(f"fit starts need {need} bytes, limit is {limit}")
     table = build_encoding(n)
     edges = [(o if isinstance(o, Observable) else Observable(o)).matrix
              for o in edge_observables]
     if len(edges) != n or edges[0].shape != (d, d):
         raise ValueError(f"need {n} edge observables of dimension {d}")
     ys = signed_sums(table.signs, edges)
-    # omega per term from the actual edge set (equals n for anticommuting sets)
-    om_a, om_c = _omegas(state, ys, ys)
-    lefts = ys / (np.array(om_a) * np.array(om_c))[:, None, None]
+    omegas = _bell_omegas(ys, d)  # sqrt(n) each for an anticommuting edge set
+    degenerate = np.flatnonzero(omegas <= DEGENERATE_TOL)
+    if degenerate.size:
+        raise DegenerateCertificateError(
+            f"term {degenerate[0] + 1}: signed edge combination annihilates the state")
+    lefts = ys / (omegas * omegas)[:, None, None]
     draws = [[[random_dichotomic(d * d, rng) for _ in range(2)] for _ in range(n - 1)]
              for rng in (np.random.default_rng(1000 + s) for s in range(FIT_EXTRA_STARTS))]
     eye = np.eye(d * d, dtype=complex)
@@ -172,9 +180,8 @@ def optimal_model(n: int, qubits_per_half: int | None = None) -> QuantumModel:
         raise CapacityError(
             f"{n} mutually anticommuting observables need dimension "
             f"{edges[0].shape[0]}; layout provides {layout.link_dim} per edge party")
-    if edges[0].shape[0] != layout.link_dim:
-        pad = layout.link_dim // edges[0].shape[0]
-        edges = [np.kron(e, np.eye(pad)) for e in edges]
+    pad = np.eye(layout.link_dim // edges[0].shape[0])
+    edges = [np.kron(e, pad) for e in edges]
     bobs, overlaps = fit_bob_observables(state, edges)
     residuals = [float(r) for r in np.sqrt(np.maximum(0.0, 2.0 - 2.0 * overlaps))]
     model = make_model(n, edges, bobs, edges, qubits_per_half=layout.qubits_per_half)

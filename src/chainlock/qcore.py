@@ -220,17 +220,11 @@ def jordan_wigner_set(n_obs: int) -> list[Observable]:
     """
     if n_obs < 1:
         raise ValueError("need at least one observable")
-    if n_obs == 1:
-        return [Observable(PAULI_X)]
     if n_obs == 2:
         return [Observable(PAULI_X), Observable(PAULI_Z)]
     m = max(1, -(-(n_obs - 1) // 2))
-    mats = []
-    for j in range(m):
-        pre = [PAULI_Z] * j
-        post = [PAULI_I] * (m - j - 1)
-        mats.append(kron_all(*pre, PAULI_X, *post))
-        mats.append(kron_all(*pre, PAULI_Y, *post))
+    mats = [kron_all(*[PAULI_Z] * j, p, *[PAULI_I] * (m - j - 1))
+            for j in range(m) for p in (PAULI_X, PAULI_Y)]
     if n_obs % 2 == 1:
         mats.append(kron_all(*([PAULI_Z] * m)))
     return [Observable(o) for o in mats[:n_obs]]

@@ -117,6 +117,43 @@ def test_quantum_n3_reports_failure(capsys):
     assert "error" in data
 
 
+@pytest.mark.parametrize("n", ["6", "9"])
+def test_quantum_past_supported_n_is_usage_error(capsys, n):
+    # SUPPORTED_N is checked before any computation, as bound checks its limit
+    code, out, err = run_cli(capsys, "quantum", "--n", n)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert f"got {n}" in json.loads(err)["error"]
+
+
+def test_quantum_over_budget_layout_fails_at_once(capsys):
+    # the fit's byte check refuses six pairs per source before drawing a start
+    code, out, err = run_cli(capsys, "quantum", "--n", "3", "--pairs-per-source", "6")
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "limit is" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("n", ["4", "5"])
+def test_quantum_fit_builds_no_state_vector(capsys, monkeypatch, n):
+    # the fitter and the contracted beta read only the chain's layout
+    from chainlock.qcore import BellChainState
+    built = []
+    build = BellChainState.amplitudes.func
+
+    def spy(state):
+        built.append(state.layout.total_qubits)
+        return build(state)
+
+    monkeypatch.setattr(BellChainState, "amplitudes", property(spy))
+    code, out, _ = run_cli(capsys, "quantum", "--n", n)
+    assert code == 1
+    assert "residuals" in json.loads(out)
+    assert all(q <= 6 for q in built)
+
+
 def test_seesaw_json_and_trace(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     code, out, _ = run_cli(capsys, "seesaw", "--n", "2", "--restarts", "3",
@@ -230,6 +267,18 @@ def test_memory_error_is_one_json_line(capsys, monkeypatch):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert json.loads(err) == {"error": "Unable to allocate 8.00 TiB for an array"}
+
+
+@pytest.mark.parametrize("output", ["csv", "json"])
+def test_sweep_out_file_matches_stdout(tmp_path, capsys, output):
+    argv = ["sweep", "--n-min", "2", "--n-max", "3", "--output", output]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    out_path = tmp_path / "rows.txt"
+    code, printed, _ = run_cli(capsys, *argv, "--out", str(out_path))
+    assert code == 0
+    assert printed == ""
+    assert out_path.read_bytes() == out.encode()
 
 
 def test_sweep_json_output(tmp_path, capsys):

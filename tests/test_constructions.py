@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from chainlock.constructions import fit_bob_observables, optimal_model
-from chainlock.errors import CapacityError, ConstructionFailedError, UnsupportedStateError
+from chainlock import constructions
+from chainlock.constructions import _bell_omegas, fit_bob_observables, optimal_model
+from chainlock.errors import (CapacityError, ConstructionFailedError, DegenerateCertificateError,
+                              UnsupportedStateError)
 from chainlock.qcore import (PAULI_X, PAULI_Z, NetworkState, QuantumModel, bell_chain_state,
-                             beta_quantum, jordan_wigner_set, kron_all)
-from chainlock.soscert import certify, tsirelson_ceiling
+                             beta_quantum, jordan_wigner_set, kron_all, random_dichotomic,
+                             signed_sums)
+from chainlock.scenario import build_encoding
+from chainlock.soscert import _omegas, certify, tsirelson_ceiling
 
 SQ2 = math.sqrt(2)
 
@@ -162,3 +166,70 @@ def test_fit_start_equals_one_start_batch(n):
         assert total == lone_total
         for got, want in zip(sum(bobs, []), sum(lone_bobs, [])):
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n,m", [(n, m) for n in (2, 3, 4, 5) for m in (1, 2, 3)
+                                 if 2 * m * n <= 20])
+def test_closed_form_omegas_match_dense(n, m):
+    # every edge marginal of a Bell chain is I/d, so ||Y_i|psi>|| = sqrt(tr(Y_i^2)/d);
+    # the dense route is kept to 20 qubits (16 MB) to keep the test small
+    d, state = 2 ** m, bell_chain_state(n, m)
+    rng = np.random.default_rng(10 * n + m)
+    edge_sets = [[random_dichotomic(d, rng) for _ in range(n)] for _ in range(3)]
+    if jordan_wigner_set(n)[0].dim <= d:
+        edge_sets.append([np.kron(o.matrix, np.eye(d // o.dim)) for o in jordan_wigner_set(n)])
+    for edges in edge_sets:
+        ys = signed_sums(build_encoding(n).signs, edges)
+        closed = _bell_omegas(ys, d)
+        dense, _ = _omegas(state, ys, ys)
+        assert np.max(np.abs(closed - dense)) < 1e-14
+        if d == 4:
+            assert closed.tobytes() == np.array(dense).tobytes()
+
+
+def test_fit_builds_no_state_vector():
+    # n = 6 on the default layout is 36 qubits: the fit reads only the layout
+    state = bell_chain_state(6)
+    bobs, overlaps = fit_bob_observables(state, jordan_wigner_set(6))
+    assert "amplitudes" not in vars(state)
+    assert len(bobs) == 5 and all(b.shape == (64, 64) for pair in bobs for b in pair)
+    assert overlaps.shape == (32,) and np.all(overlaps > 0)
+
+
+def test_optimal_model_past_dense_limit_reports_obstruction():
+    # n = 5 on three pairs per source is 30 qubits: the fit still runs
+    with pytest.raises(ConstructionFailedError) as exc:
+        optimal_model(5, qubits_per_half=3)
+    err = exc.value
+    assert isinstance(err.model, QuantumModel)
+    assert err.model.layout.qubits_per_half == 3
+    assert len(err.residuals) == 16 and all(0 < r < 2 for r in err.residuals)
+    assert "amplitudes" not in vars(err.model.state)
+
+
+def test_fit_capacity_refused_before_allocation(monkeypatch):
+    # n = 3 on six pairs per source stacks 9 x 4 central operators of 4096 x 4096
+    # complex entries (9.7 GB); the check refuses it before any start is drawn
+    import tracemalloc
+
+    def draw(*args):
+        raise AssertionError("a start was drawn")
+
+    monkeypatch.setattr(constructions, "random_dichotomic", draw)
+    edges = [np.eye(64)] * 3
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="limit is"):
+            fit_bob_observables(bell_chain_state(3, 6), edges)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(CapacityError):
+        optimal_model(3, qubits_per_half=6)
+
+
+def test_fit_degenerate_edges_name_the_term():
+    # Y_2 = Z - Z vanishes, so the second term has no normalisation
+    with pytest.raises(DegenerateCertificateError, match="term 2"):
+        fit_bob_observables(bell_chain_state(2), [PAULI_Z, PAULI_Z])

@@ -126,6 +126,7 @@ def test_bell_chain_capacity():
 
 
 def test_jordan_wigner_small_sets():
+    assert [o.matrix.tolist() for o in jordan_wigner_set(1)] == [PAULI_X.tolist()]
     assert [o.matrix.tolist() for o in jordan_wigner_set(2)] == \
         [PAULI_X.tolist(), PAULI_Z.tolist()]
     mats = [o.matrix for o in jordan_wigner_set(3)]
