@@ -22,6 +22,7 @@ from .qcore import (DENSE_QUBIT_LIMIT, PAULI_X, PAULI_Y, PAULI_Z, BellChainState
                     make_model, random_dichotomic, require_bell_chain, signed_sums,
                     term_expectations)
 from .scenario import build_encoding
+from .seesaw import Workspace, ascend, restart_bytes
 from .soscert import DEGENERATE_TOL, condition_residuals, tsirelson_ceiling
 
 SOLVE_RESIDUAL_TOL = 1e-8
@@ -64,42 +65,12 @@ def _explicit_n3() -> QuantumModel:
     return make_model(3, edges, [bob1, bob2], edges)
 
 
-def _fit_starts(lefts, ys, bobs, central, d: int) -> list[tuple[list, float]]:
-    """Sweep every start of the fit to convergence in lockstep.
-
-    ``bobs[t][y]`` stacks the starts on a leading axis.  A start leaves the
-    batch on the sweep where its total overlap moves by less than 1e-13, or
-    at FIT_SWEEPS; the result is (bobs, total) per start, in start order.
-    """
-    n = central.shape[1] + 1
-    weights = np.ones(len(central))
-    bobs = [list(pair) for pair in bobs]  # the caller's lists stay as they are
-    active = np.arange(len(bobs[0][0]))
-    fitted = [None] * len(active)
-    prev = term_expectations(lefts, ys, bobs, central, d).real.sum(-1)
-    for _ in range(FIT_SWEEPS):
-        # the shared lefts get the start axis, so every slot matrix has it (also at n = 2)
-        sweep = CentralSweep(np.broadcast_to(lefts, (len(active),) + lefts.shape), ys, bobs,
-                             central, d)
-        for t in range(n - 1):
-            for yv in range(2):
-                bobs[t][yv] = dichotomic_projection(sweep.slot_matrix(t, yv, weights))
-            sweep.advance(t)
-        cur = close(sweep.left, ys, d, n).real.sum(-1)
-        done = abs(cur - prev) < 1e-13
-        for k in np.flatnonzero(done):
-            fitted[active[k]] = ([[b[k] for b in pair] for pair in bobs], prev[k])
-        active, prev = active[~done], cur[~done]
-        bobs = [[b[~done] for b in pair] for pair in bobs]
-        if not active.size:
-            break
-    for k, s in enumerate(active):
-        fitted[s] = ([[b[k] for b in pair] for pair in bobs], prev[k])
-    return fitted
-
-
 def _bell_omegas(ys, d: int) -> np.ndarray:
-    """||Y_i|psi>|| = sqrt(tr(Y_i^2)/d) per term: each edge marginal of a Bell chain is I/d."""
+    """||Y_i|psi>|| = sqrt(tr(Y_i^2)/d) per term: each edge marginal of a Bell chain is I/d.
+
+    Evaluated as sqrt(tr(Y_i^2))/sqrt(d): on the d = 2 CHSH edges it rounds
+    closer to the dense route, which decides the n = 2 fit's 1e-8 recovery.
+    """
     return np.array([math.sqrt(max(0.0, float(np.trace(y @ y).real))) for y in ys]) / math.sqrt(d)
 
 
@@ -112,23 +83,27 @@ def fit_bob_observables(state: BellChainState, edge_observables):
     unit weights on the pre-scaled terms: every term keeps its left and right
     environments through the sweep, and the sweep's overlaps close the last
     left environments.  The identity start and FIT_EXTRA_STARTS seeded random
-    starts sweep together as one stacked batch.  The per-term residuals are
-    r_i = sqrt(2 - 2 overlap_i).  Returns (bobs, overlaps) for the best start
-    (ties keep the earliest).  Raises UnsupportedStateError off a Bell chain,
-    CapacityError past the dense state's bytes, DegenerateCertificateError
-    for a vanishing omega_i.
+    starts sweep in lockstep through the seesaw's driver (``ascend``).  The
+    per-term residuals are r_i = sqrt(2 - 2 overlap_i).  Returns (bobs,
+    overlaps) for the best start (ties keep the earliest).  Raises
+    UnsupportedStateError off a Bell chain, CapacityError past the dense
+    state's bytes, ValueError for a wrong edge count or shape,
+    DegenerateCertificateError for a vanishing omega_i.
     """
     require_bell_chain(state)
     n, d = state.layout.n, state.layout.link_dim
-    # the stacked starts: 1 + FIT_EXTRA_STARTS complex d^2 x d^2 operators per central slot
-    need, limit = 16 * (1 + FIT_EXTRA_STARTS) * 2 * (n - 1) * d ** 4, 16 * 2 ** DENSE_QUBIT_LIMIT
+    # each start holds a sweep's environment stacks and its central operators
+    need, limit = (1 + FIT_EXTRA_STARTS) * restart_bytes(n, d), 16 * 2 ** DENSE_QUBIT_LIMIT
     if need > limit:
         raise CapacityError(f"fit starts need {need} bytes, limit is {limit}")
     table = build_encoding(n)
     edges = [(o if isinstance(o, Observable) else Observable(o)).matrix
              for o in edge_observables]
-    if len(edges) != n or edges[0].shape != (d, d):
-        raise ValueError(f"need {n} edge observables of dimension {d}")
+    if len(edges) != n:
+        raise ValueError(f"need {n} edge observables of dimension {d}, got {len(edges)}")
+    for x, e in enumerate(edges):
+        if e.shape != (d, d):
+            raise ValueError(f"edge_observables[{x}] is {e.shape}, need ({d}, {d})")
     ys = signed_sums(table.signs, edges)
     omegas = _bell_omegas(ys, d)  # sqrt(n) each for an anticommuting edge set
     degenerate = np.flatnonzero(omegas <= DEGENERATE_TOL)
@@ -139,12 +114,25 @@ def fit_bob_observables(state: BellChainState, edge_observables):
     draws = [[[random_dichotomic(d * d, rng) for _ in range(2)] for _ in range(n - 1)]
              for rng in (np.random.default_rng(1000 + s) for s in range(FIT_EXTRA_STARTS))]
     eye = np.eye(d * d, dtype=complex)
-    starts = [[np.stack([eye] + [draw[t][y] for draw in draws]) for y in range(2)]
-              for t in range(n - 1)]
+    starts = Workspace([], [[np.stack([eye] + [draw[t][y] for draw in draws]) for y in range(2)]
+                            for t in range(n - 1)], [])
+    weights = np.ones(len(table.central))
+
+    def sweep(ws, total):  # one unit-weight pass over every start's central slots
+        # the shared lefts get the start axis, so every slot matrix has it (also at n = 2)
+        run = CentralSweep(np.broadcast_to(lefts, total.shape + lefts.shape), ys, ws.bobs,
+                           table.central, d)
+        for t in range(n - 1):
+            for yv in range(2):
+                ws.bobs[t][yv] = dichotomic_projection(run.slot_matrix(t, yv, weights))
+            run.advance(t)
+        return (close(run.left, ys, d, n).real.sum(-1),)
+
+    total = term_expectations(lefts, ys, starts.bobs, table.central, d).real.sum(-1)
     best_bobs, best_total = None, -np.inf
-    for bobs, total in _fit_starts(lefts, ys, starts, table.central, d):
-        if total > best_total + 1e-12:
-            best_bobs, best_total = bobs, total
+    for history, _, (_, bobs, _) in ascend(starts, (total,), sweep, FIT_SWEEPS, 1e-13):
+        if history[-1] > best_total + 1e-12:
+            best_bobs, best_total = bobs, history[-1]
     return best_bobs, term_expectations(lefts, ys, best_bobs, table.central, d).real
 
 

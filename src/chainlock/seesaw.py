@@ -25,7 +25,8 @@ of a batch, each restart keeps or discards each update on its own (``np.where``
 on the restart axis), and a restart leaves the batch on the sweep it stops.
 Stacked ``eigh`` and ``@`` are one LAPACK or BLAS call per matrix and the
 folds broadcast over ``...`` axes, so each restart runs the float sequence of
-a run on its own.
+a run on its own.  ``ascend`` is that lockstep driver; the condition fitter
+runs its starts through it with its own, unchecked, sweep.
 """
 from __future__ import annotations
 
@@ -102,17 +103,24 @@ def random_model(n: int, seed: int, qubits_per_half: int | None = None) -> Quant
     return make_model(n, alice, bobs, charlie, qubits_per_half=qubits_per_half)
 
 
-class _Workspace:
-    """Mutable observable matrices of a batch of restarts, stacked on a leading axis."""
+class Workspace:
+    """Mutable observable matrices of a stack of starts, built from stacked matrices:
+    (starts, d, d) per edge slot, (starts, d^2, d^2) per central slot; edge lists may be empty."""
 
-    def __init__(self, models):
-        self.n = models[0].n
-        self.d = models[0].layout.link_dim
-        self.alice = [np.stack([mo.alice[x].matrix for mo in models]) for x in range(self.n)]
-        self.charlie = [np.stack([mo.charlie[x].matrix for mo in models])
-                        for x in range(self.n)]
-        self.bobs = [[np.stack([mo.bobs[t][y].matrix for mo in models]) for y in range(2)]
-                     for t in range(self.n - 1)]
+    def __init__(self, alice, bobs, charlie):
+        self.alice, self.charlie = list(alice), list(charlie)
+        self.bobs = [list(pair) for pair in bobs]
+        self.n = len(self.bobs) + 1
+        self.d = math.isqrt(self.bobs[0][0].shape[-1])
+
+    @classmethod
+    def of_models(cls, models):
+        """The models' observables, each stacked over the models."""
+        def stack(*observables):
+            return np.stack([o.matrix for o in observables])
+        return cls(map(stack, *(mo.alice for mo in models)),
+                   [map(stack, *pairs) for pairs in zip(*(mo.bobs for mo in models))],
+                   map(stack, *(mo.charlie for mo in models)))
 
     def _map(self, f):
         """f applied to every stack, as (alice, bobs, charlie)."""
@@ -120,15 +128,15 @@ class _Workspace:
                 [f(c) for c in self.charlie])
 
     def keep_rows(self, rows: np.ndarray):
-        """Drop every restart but ``rows`` from each stack."""
+        """Drop every start but ``rows`` from each stack."""
         self.alice, self.bobs, self.charlie = self._map(lambda a: a[rows])
 
     def matrices(self, row: int):
-        """(alice, bobs, charlie) of one restart, copied out of the stacks."""
+        """(alice, bobs, charlie) of one start, copied out of the stacks."""
         return self._map(lambda a: a[row].copy())
 
 
-def _beta_of(ws: _Workspace, table):
+def _beta_of(ws: Workspace, table):
     ya, yc = edge_sums(ws.n, ws.alice, ws.charlie)
     js = term_expectations(ya, yc, ws.bobs, table.central, ws.d).real
     return np.sum(np.sqrt(np.abs(js)), axis=-1), js
@@ -139,7 +147,7 @@ def _weights(js: np.ndarray) -> np.ndarray:
     return sigma / (2.0 * np.sqrt(np.maximum(np.abs(js), WEIGHT_FLOOR)))
 
 
-def _sweep(ws: _Workspace, table, beta: np.ndarray, js: np.ndarray,
+def _sweep(ws: Workspace, table, beta: np.ndarray, js: np.ndarray,
            optimize_edges: bool) -> tuple[np.ndarray, np.ndarray]:
     """One sweep of every restart in the batch; each takes its own accept/reject decisions."""
     n, d = ws.n, ws.d
@@ -196,37 +204,37 @@ def _sweep(ws: _Workspace, table, beta: np.ndarray, js: np.ndarray,
     return beta, js
 
 
-def _restart_bytes(n: int, d: int) -> int:
-    """One restart's share of a batch: a sweep's n + 1 environment stacks and its observables."""
+def restart_bytes(n: int, d: int) -> int:
+    """One start's bytes in a stack: a sweep's n + 1 environment stacks and central operators."""
     return 16 * ((n + 1) * 2 ** (n - 1) * d ** 2 + 2 * (n - 1) * d ** 4)
 
 
-def _ascend(ws: _Workspace, table, restarts: list[int], config: SeesawConfig) -> list:
-    """Run a batch of restarts in lockstep until each converges or hits the cap.
+def ascend(ws: Workspace, carry: tuple, sweep, max_sweeps: int, tol: float) -> list:
+    """Sweep a stack of starts in lockstep until each stops or has run ``max_sweeps``.
 
-    A restart leaves the batch on the sweep it stops.  Returns, in restart
-    order, each restart's (trace rows, beta, converged, matrices).
+    ``carry`` holds per-start arrays, the objective first; ``sweep(ws, *carry)``
+    sweeps every start left in place and returns the new carry.  A start stops
+    on the sweep where its objective rises by less than ``tol`` (or falls) and
+    leaves the stack, its matrices copied out first.  Returns, in start order,
+    each start's (objective history from the start on, converged, matrices).
     """
-    active = np.array(restarts)
-    beta, js = _beta_of(ws, table)
-    rows = {r: [(r, 0, float(b))] for r, b in zip(restarts, beta)}
-    finals = {}
-    for it in range(1, config.max_iterations + 1):
-        new_beta, js = _sweep(ws, table, beta, js, config.optimize_edges)
-        done = new_beta - beta < config.tolerance
-        beta = new_beta
-        for k, r in enumerate(active.tolist()):
-            rows[r].append((r, it, float(beta[k])))
-            if done[k]:
-                finals[r] = (float(beta[k]), True, ws.matrices(k))
-        if done.any():
-            active, beta, js = active[~done], beta[~done], js[~done]
-            ws.keep_rows(~done)
+    active = np.arange(len(carry[0]))
+    history = [[float(v)] for v in carry[0]]
+    finals = [None] * len(history)
+    for sweeps in range(1, max_sweeps + 1):
+        new = sweep(ws, *carry)
+        done = new[0] - carry[0] < tol
+        stop, carry = done | (sweeps == max_sweeps), new
+        for k, s in enumerate(active.tolist()):
+            history[s].append(float(carry[0][k]))
+            if stop[k]:
+                finals[s] = (bool(done[k]), ws.matrices(k))
+        if stop.any():
+            active, carry = active[~stop], tuple(c[~stop] for c in carry)
+            ws.keep_rows(~stop)
             if not active.size:
                 break
-    for k, r in enumerate(active.tolist()):
-        finals[r] = (float(beta[k]), False, ws.matrices(k))
-    return [(rows[r], *finals[r]) for r in restarts]
+    return [(h, *f) for h, f in zip(history, finals)]
 
 
 def seesaw_optimize(n: int, config: SeesawConfig | None = None) -> SeesawReport:
@@ -239,22 +247,24 @@ def seesaw_optimize(n: int, config: SeesawConfig | None = None) -> SeesawReport:
     config = config or SeesawConfig()
     table = build_encoding(n)
     layout = default_layout(n, config.qubits_per_half)
-    size = max(1, _RESTART_BATCH_BYTES // _restart_bytes(n, layout.link_dim))
+    size = max(1, _RESTART_BATCH_BYTES // restart_bytes(n, layout.link_dim))
     trace: list[tuple[int, int, float]] = []
     restart_betas: list[float] = []
     best_beta, best = -1.0, None
     all_converged = True
     for lo in range(0, config.restarts, size):
         restarts = list(range(lo, min(lo + size, config.restarts)))
-        models = [random_model(n, seed=config.seed + 7919 * r,
-                               qubits_per_half=config.qubits_per_half) for r in restarts]
-        for rows, beta, converged, matrices in _ascend(_Workspace(models), table, restarts,
-                                                       config):
-            trace += rows
-            restart_betas.append(beta)
+        ws = Workspace.of_models([random_model(n, config.seed + 7919 * r, config.qubits_per_half)
+                                  for r in restarts])
+        results = ascend(ws, _beta_of(ws, table),
+                         lambda ws, beta, js: _sweep(ws, table, beta, js, config.optimize_edges),
+                         config.max_iterations, config.tolerance)
+        for r, (history, converged, matrices) in zip(restarts, results):
+            trace += [(r, it, beta) for it, beta in enumerate(history)]
+            restart_betas.append(history[-1])
             all_converged &= converged
-            if beta > best_beta + 1e-12:  # ties keep the lowest restart index
-                best_beta, best = beta, matrices
+            if history[-1] > best_beta + 1e-12:  # ties keep the lowest restart index
+                best_beta, best = history[-1], matrices
     return SeesawReport(best_beta=best_beta,
                         best_model=make_model(n, *best, qubits_per_half=layout.qubits_per_half),
                         trace=tuple(trace), converged=all_converged,

@@ -375,3 +375,17 @@ def test_seesaw_unwritable_output_fails_before_optimizing(tmp_path, monkeypatch,
     code, _, err = run_cli(capsys, "seesaw", "--n", "2", flag, path)
     assert code == 1
     assert path in json.loads(err)["error"]
+
+
+def test_golden_cli_commands(capsys):
+    # the benchmark's golden CLI output, byte for byte; {model} stands for the
+    # n = 2 optimal model stored beside the golden file
+    from pathlib import Path
+    golden = Path(__file__).resolve().parents[1] / "bench" / "golden"
+    commands = json.loads((golden / "cli.json").read_text(encoding="utf-8"))["commands"]
+    model = str(golden / "model_n2.json")
+    assert commands
+    for command in commands:
+        argv = [model if a == "{model}" else a for a in command["argv"]]
+        code, out, _ = run_cli(capsys, *argv)
+        assert (out, code) == (command["stdout"], command["exit"]), argv

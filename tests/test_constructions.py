@@ -137,33 +137,51 @@ def test_fit_rejects_wrong_edge_count():
         fit_bob_observables(bell_chain_state(3), [PAULI_Z, PAULI_X])
 
 
+def test_fit_rejects_wrong_edge_shape():
+    # every edge is checked, not only the first: the second is 4 x 4 on a d = 2 chain
+    with pytest.raises(ValueError, match=r"edge_observables\[1\] is \(4, 4\), need \(2, 2\)"):
+        fit_bob_observables(bell_chain_state(2), [PAULI_Z, kron_all(PAULI_Z, PAULI_X)])
+
+
 def test_optimal_model_undersized_layout():
     with pytest.raises(CapacityError):
         optimal_model(4, qubits_per_half=1)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_fit_start_equals_one_start_batch(n):
+def test_fit_start_equals_one_start_batch(n, monkeypatch):
     # every start of the lockstep fit ends where it ends when fitted alone:
-    # the same total overlap and observables, bit for bit
-    from chainlock.constructions import _fit_starts
-    from chainlock.qcore import default_layout, random_dichotomic, signed_sums
-    from chainlock.scenario import build_encoding
+    # the same total overlaps and observables, bit for bit
+    from chainlock.qcore import default_layout, term_expectations
+    from chainlock.seesaw import Workspace, ascend
     d, table = default_layout(n).link_dim, build_encoding(n)
     edges = [o.matrix for o in jordan_wigner_set(n)]
     edges = [np.kron(e, np.eye(d // e.shape[0])) for e in edges]
+    runs = []
+
+    def spy(ws, carry, *args):  # keeps the fit's sweep, sweep cap and tolerance
+        runs.append(args)
+        return ascend(ws, carry, *args)
+
+    monkeypatch.setattr(constructions, "ascend", spy)
+    fit_bob_observables(bell_chain_state(n), edges)
+    (sweep, max_sweeps, tol), = runs
     ys = signed_sums(table.signs, edges)
-    lefts = ys / n ** 2  # omega_i = n for an anticommuting edge set
+    lefts = ys / (_bell_omegas(ys, d) ** 2)[:, None, None]  # the fit's pre-scaled terms
     rng = np.random.default_rng(n)
     starts = [[[random_dichotomic(d * d, rng) for _ in range(2)] for _ in range(n - 1)]
               for _ in range(4)]
     stacked = [[np.stack([s[t][y] for s in starts]) for y in range(2)] for t in range(n - 1)]
-    batch = _fit_starts(lefts, ys, stacked, table.central, d)
+
+    def fit(stacks):
+        total = term_expectations(lefts, ys, stacks, table.central, d).real.sum(-1)
+        return ascend(Workspace([], stacks, []), (total,), sweep, max_sweeps, tol)
+
+    batch = fit(stacked)
     assert len(batch) == len(starts)
-    for start, (bobs, total) in zip(starts, batch):
-        (lone_bobs, lone_total), = _fit_starts(
-            lefts, ys, [[op[None] for op in pair] for pair in start], table.central, d)
-        assert total == lone_total
+    for start, (totals, _, (_, bobs, _)) in zip(starts, batch):
+        (lone_totals, _, (_, lone_bobs, _)), = fit([[op[None] for op in pair] for pair in start])
+        assert totals == lone_totals
         for got, want in zip(sum(bobs, []), sum(lone_bobs, [])):
             assert np.array_equal(got, want)
 
@@ -227,6 +245,29 @@ def test_fit_capacity_refused_before_allocation(monkeypatch):
     assert peak < 1 << 20
     with pytest.raises(CapacityError):
         optimal_model(3, qubits_per_half=6)
+
+
+@pytest.mark.parametrize("n, m", [(18, 1), (2, 5)])
+def test_fit_capacity_counts_environment_stacks(n, m, monkeypatch):
+    # the nine starts' central operators are 78 kB at n = 18, m = 1, but their
+    # sweeps' environment stacks (19 x 2^17 terms each) take 1.4 GB; n = 2, m = 5
+    # needs 302 MB; both are refused before any start is drawn
+    import tracemalloc
+
+    def draw(*args):
+        raise AssertionError("a start was drawn")
+
+    monkeypatch.setattr(constructions, "random_dichotomic", draw)
+    pad = np.eye(2 ** (m - 1))
+    edges = [np.kron(e, pad) for e in [PAULI_Z] + [PAULI_X] * (n - 1)]  # no term vanishes
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="limit is"):
+            fit_bob_observables(bell_chain_state(n, m), edges)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_fit_degenerate_edges_name_the_term():

@@ -7,8 +7,8 @@ import pytest
 from chainlock.qcore import Observable, beta_quantum, dichotomic_projection
 from chainlock.scenario import build_encoding
 from chainlock import seesaw
-from chainlock.seesaw import (SeesawConfig, SeesawReport, _ascend, _beta_of, _sweep, _weights,
-                              _Workspace, random_model, seesaw_optimize)
+from chainlock.seesaw import (SeesawConfig, SeesawReport, Workspace, _beta_of, _sweep, _weights,
+                              ascend, random_model, seesaw_optimize)
 from chainlock.soscert import tsirelson_ceiling
 from reference_folds import bob_slot, chain_value, edge_slot, signed_sums
 
@@ -221,7 +221,7 @@ def test_cached_sweep_equals_uncached_sweep(n, m, optimize_edges):
     # J_i and observables match bit for bit
     table = build_encoding(n)
     models = [random_model(n, seed=10 * n + m + 1000 * k, qubits_per_half=m) for k in range(3)]
-    cached, references = _Workspace(models), [_lone_workspace(mo) for mo in models]
+    cached, references = Workspace.of_models(models), [_lone_workspace(mo) for mo in models]
     beta, js = _beta_of(cached, table)
     ref = [(beta[k], js[k]) for k in range(len(models))]
     for _ in range(3):
@@ -244,16 +244,15 @@ def test_restart_equals_lone_restart(n, m, optimize_edges):
                           optimize_edges=optimize_edges)
     rep = seesaw_optimize(n, config)
     models = [random_model(n, seed=5 + 7919 * r, qubits_per_half=m) for r in range(3)]
-    batch = _ascend(_Workspace(models), build_encoding(n), [0, 1, 2], config)
+    batch = _seesaw_ascend(models, config)
     for r in range(3):
         lone_config = replace(config, restarts=1, seed=5 + 7919 * r)
         lone = seesaw_optimize(n, lone_config)
         assert [row[1:] for row in rep.trace if row[0] == r] == [row[1:] for row in lone.trace]
         assert rep.restart_betas[r] == lone.restart_betas[0]
-        (rows, beta, converged, matrices), = _ascend(_Workspace(models[r:r + 1]),
-                                                      build_encoding(n), [r], config)
-        assert (rows, beta, converged) == batch[r][:3]
-        for got, want in zip(_flat(*batch[r][3]), _flat(*matrices)):
+        (history, converged, matrices), = _seesaw_ascend(models[r:r + 1], config)
+        assert (history, converged) == batch[r][:2]  # the restart's beta ends its history
+        for got, want in zip(_flat(*batch[r][2]), _flat(*matrices)):
             assert np.array_equal(got, want)
         if rep.restart_betas.index(rep.best_beta) == r:
             for got, want in zip(_flat(*_model_matrices(rep.best_model)),
@@ -261,9 +260,41 @@ def test_restart_equals_lone_restart(n, m, optimize_edges):
                 assert np.array_equal(got, want)
 
 
+def _seesaw_ascend(models, config):
+    """The seesaw's ascent of the models as one stack, as ``seesaw_optimize`` runs a batch."""
+    ws, table = Workspace.of_models(models), build_encoding(models[0].n)
+    return ascend(ws, _beta_of(ws, table),
+                  lambda ws, beta, js: _sweep(ws, table, beta, js, config.optimize_edges),
+                  config.max_iterations, config.tolerance)
+
+
 def _model_matrices(model):
     return ([o.matrix for o in model.alice], [[o.matrix for o in p] for p in model.bobs],
             [o.matrix for o in model.charlie])
+
+
+def test_ascend_retires_each_start_on_its_own_sweep():
+    # a scripted sweep and no quantum numerics: start k's objective follows
+    # objectives[k], and every sweep writes its number into each start's marks
+    objectives = [[0.0, 1.0, 1.0 + 1e-9],  # rises by less than tol: stops on sweep 2
+                  [0.0, 2.0, 1.5],  # falls: stops on sweep 2
+                  [0.0, 1.0, 2.0, 3.0, 4.0],  # still rising at the cap of 4 sweeps
+                  [5.0, 5.0]]  # no rise: stops on sweep 1
+    marks = np.array([[k, 0.0] for k in range(4)])  # (start, sweep) per start
+    ws = Workspace([marks], [[np.zeros((4, 1, 1))] * 2], [])
+    calls = []
+
+    def sweep(ws, objective, ids):
+        calls.append(ids.tolist())
+        ws.alice[0][:, 1] = len(calls)  # in place, until a start leaves the stack
+        return np.array([objectives[k][len(calls)] for k in ids]), ids
+
+    results = ascend(ws, (np.array([o[0] for o in objectives]), np.arange(4)), sweep, 4, 1e-6)
+    marks[:] = -1  # start 3 stopped in this stack: its matrices must be a copy
+    assert calls == [[0, 1, 2, 3], [0, 1, 2], [2], [2]]
+    assert [history for history, _, _ in results] == objectives
+    assert [converged for _, converged, _ in results] == [True, True, False, True]
+    assert [m[0][0].tolist() for _, _, m in results] == [[0, 2], [1, 2], [2, 4], [3, 1]]
 
 
 @pytest.mark.parametrize("size", [1, 3])
@@ -274,12 +305,12 @@ def test_batch_cap_keeps_every_bit(size, monkeypatch):
     whole = seesaw_optimize(n, config)
     sizes = []
 
-    def ascend(ws, table, restarts, cfg):
-        sizes.append(len(restarts))
-        return _ascend(ws, table, restarts, cfg)
+    def counting(ws, carry, *args):
+        sizes.append(len(carry[0]))
+        return ascend(ws, carry, *args)
 
-    monkeypatch.setattr(seesaw, "_ascend", ascend)
-    monkeypatch.setattr(seesaw, "_RESTART_BATCH_BYTES", size * seesaw._restart_bytes(n, 2) + 1)
+    monkeypatch.setattr(seesaw, "ascend", counting)
+    monkeypatch.setattr(seesaw, "_RESTART_BATCH_BYTES", size * seesaw.restart_bytes(n, 2) + 1)
     cut = seesaw_optimize(n, config)
     assert sizes == [size] * (7 // size) + ([7 % size] if 7 % size else [])
     assert cut.trace == whole.trace
