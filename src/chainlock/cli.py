@@ -104,13 +104,14 @@ def _nonnegative_int(text: str) -> int:
 
 
 def _cmd_bound(args) -> int:
-    if args.dump_scenario:
-        _dump_scenario(args.n, args.out)
-        return 0
-    command, limit = (("bound --exhaustive", EXHAUSTIVE_MAX_N) if args.exhaustive
+    command, limit = (("bound --dump-scenario", BRUTEFORCE_MAX_N) if args.dump_scenario
+                      else ("bound --exhaustive", EXHAUSTIVE_MAX_N) if args.exhaustive
                       else ("bound", BRUTEFORCE_MAX_N))
     if args.n > limit:
         return _fail(f"{command} supports n <= {limit}, got {args.n}", USAGE_ERROR)
+    if args.dump_scenario:
+        _dump_scenario(args.n, args.out)
+        return 0
     if args.exhaustive:
         threads = args.threads
         if threads is None:

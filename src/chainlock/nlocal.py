@@ -119,28 +119,28 @@ def assignment_scores(n: int) -> np.ndarray:
     """Score of every edge assignment: f(a) = sum_i |sum_x signs[i,x] a_x|.
 
     The rows signs[i] hold one of each complement pair {v, -v} of sign
-    vectors (the one with first entry +1).  For an assignment a,
-    |v . a| = |(v * a) . 1|, and v -> v * a maps complement pairs onto
-    complement pairs, so every assignment scores the same f(1): the sum over
-    the 2^(n-1) row indices u of |n - 2*popcount(u)|, taken here exactly in
-    int64.  Index a's bit for input x sits at position n-1-x (first input is
-    the most significant bit); bit 0 means sign +1.  Supported for
-    2 <= n <= BRUTEFORCE_MAX_N.
+    vectors.  |v . a| = |(v * a) . 1| and v -> v * a maps complement pairs
+    onto complement pairs, so every assignment scores f(1): the 2^n scores
+    are ``alpha_bruteforce``'s row sum, one int64 broadcast.  Index a's bit
+    for input x sits at position n-1-x (first input most significant); bit 0
+    means sign +1.
+    """
+    return np.broadcast_to(np.int64(alpha_bruteforce(n)[0]), (1 << n,))
+
+
+def alpha_bruteforce(n: int) -> tuple[int, tuple[int, ...]]:
+    """Exact maximum of the edge-assignment functional, and the all-+1 maximizer.
+
+    Every assignment scores f(1) = sum_u |n - 2*popcount(u)| over the 2^(n-1)
+    row indices u (see ``assignment_scores``), counted by popcount in uint8.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if n > BRUTEFORCE_MAX_N:
         raise CapacityError(f"alpha_bruteforce supports n <= {BRUTEFORCE_MAX_N}, got {n}")
-    popcount = np.bitwise_count(np.arange(1 << (n - 1), dtype=np.uint32)).astype(np.int64)
-    return np.full(1 << n, np.abs(n - 2 * popcount).sum(), dtype=np.int64)
-
-
-def alpha_bruteforce(n: int) -> tuple[int, tuple[int, ...]]:
-    """Exact maximum of the edge-assignment functional and its first maximizer."""
-    scores = assignment_scores(n)
-    idx = int(np.argmax(scores))
-    witness = tuple(1 - 2 * ((idx >> (n - 1 - x)) & 1) for x in range(n))
-    return int(scores[idx]), witness
+    counts = np.bincount(np.bitwise_count(np.arange(1 << (n - 1), dtype=np.uint32)),
+                         minlength=n)
+    return int(counts @ np.abs(n - 2 * np.arange(n))), (1,) * n
 
 
 def bound_report(n: int) -> BoundReport:
@@ -276,17 +276,17 @@ def lhv_exhaustive_max(n: int, threads: int = 1) -> BoundReport:
             f"lhv_exhaustive_max supports 2 <= n <= {EXHAUSTIVE_MAX_N}, got {n}")
     total = 2 ** (2 * n + 2 * (n - 1))
     threads = min(threads, os.cpu_count() or 1)
-    if threads <= 1:
-        best, best_idx = _search_range((n, 0, total))
+    chunk = -(-total // threads)
+    jobs = [(n, lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+    if threads == 1:
+        results = [_search_range(job) for job in jobs]
     else:
-        chunk = -(-total // threads)
-        jobs = [(n, lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_search_range, jobs))
-        best, best_idx = -1.0, -1
-        for b, idx in results:  # in chunk order, so first maximizer wins ties
-            if b > best + 1e-12:
-                best, best_idx = b, idx
+    best, best_idx = -1.0, -1
+    for b, idx in results:  # in chunk order, so first maximizer wins ties
+        if b > best + 1e-12:
+            best, best_idx = b, idx
     closed = alpha_closed_form(n)
     if abs(best - closed) > 1e-9:
         raise AssertionError(

@@ -362,7 +362,7 @@ def term_vectors(model: QuantumModel, ya, yc):
 # chain-contraction evaluator
 #
 # Per-term quantities carry a term axis: edge sums and environments are
-# (..., terms, d, d), open-slot matrices (..., terms, d^2, d^2).  Term i reads
+# (..., terms, d, d), or rows (..., terms, d^2) in a slot gemm.  Term i reads
 # bobs[t][central[i, t]] at central party t+1 (``central``: the term table's
 # 0-based inputs).  Every route is one of two folds, one party at a time: left
 # environments pushed forward or right ones pulled back, on each link
@@ -429,10 +429,11 @@ def close(lefts: np.ndarray, rights: np.ndarray, d: int, n: int) -> np.ndarray:
     return np.einsum("...iab,...iab->...i", lefts, rights) / d ** n
 
 
-def open_slots(lefts: np.ndarray, rights: np.ndarray, d: int, n: int) -> np.ndarray:
-    """G_i with <chain_i> = tr(B G_i) for a central operator B between two environments."""
-    g = np.einsum("...iab,...icd->...ibdac", lefts, rights)
-    return g.reshape(g.shape[:-4] + (d * d, d * d)) / d ** n
+def _slot_gemm(lefts: np.ndarray, rights: np.ndarray, d: int, n: int) -> np.ndarray:
+    """W = sum_k G_k, tr(B G_k) = <L_k (x) B (x) R_k>: one gemm L^T R over rows vec(E_k)."""
+    w = np.matmul(lefts.reshape(*lefts.shape[:-2], d * d).swapaxes(-1, -2),
+                  rights.reshape(*rights.shape[:-2], d * d))
+    return _permute_legs(w, d, (2, 4, 1, 3)) / d ** n  # [ket l, ket r, bra l, bra r]
 
 
 def term_expectations(lefts, rights, bobs, central, d: int) -> np.ndarray:
@@ -457,9 +458,9 @@ def chain_expectation(a_mat: np.ndarray, bob_mats, c_mat: np.ndarray, d: int) ->
 
 def bob_slot_matrix(a_mat, bob_mats_before, bob_mats_after, c_mat, d: int,
                     n: int) -> np.ndarray:
-    """G with <chain> = tr(B G) when central operator B is left open."""
-    return open_slots(push(*_one_chain(a_mat, bob_mats_before), d),
-                      pull(*_one_chain(c_mat, bob_mats_after), d)[0], d, n)[0]
+    """G with <chain> = tr(B G) when central operator B is left open: a one-term slot gemm."""
+    return _slot_gemm(push(*_one_chain(a_mat, bob_mats_before), d),
+                      pull(*_one_chain(c_mat, bob_mats_after), d)[0], d, n)
 
 
 def edge_slot_matrix(side: str, bob_mats, other_edge_mat, d: int, n: int) -> np.ndarray:
@@ -486,9 +487,9 @@ def correlator_contracted(model: QuantumModel, x: int, bob_inputs, z: int) -> fl
     require_bell_chain(model.state)
     n, d = model.n, model.layout.link_dim
     _check_inputs(n, x, bob_inputs, z)
-    bob_mats = [model.bobs[t][bob_inputs[t] - 1].matrix for t in range(n - 1)]
-    val = chain_expectation(model.alice[x - 1].matrix, bob_mats,
-                            model.charlie[z - 1].matrix, d)
+    bobs = [[o.matrix for o in pair] for pair in model.bobs]
+    val = term_expectations(model.alice[x - 1].matrix[None], model.charlie[z - 1].matrix[None],
+                            bobs, np.array([bob_inputs], dtype=np.int64) - 1, d)[0]
     return _real_or_raise(val, "correlator")
 
 
@@ -582,19 +583,12 @@ class CentralSweep:
         """W = sum_i weights[i] G_i over the readers of slot (t, y).
 
         G_i is term i's open-slot matrix, so an operator B placed in the slot
-        gives tr(B W) = sum_i weights[i] <L_i (x) B_i (x) R_i>.  The sum is one
-        gemm, (w L)^T R over the readers' flattened environments, with its
-        [bra l, ket l, bra r, ket r] legs then permuted so that tr(B W)
-        contracts them with B's.
+        gives tr(B W) = sum_i weights[i] <L_i (x) B_i (x) R_i>: one
+        ``_slot_gemm`` over the readers' weighted left environments.
         """
-        d, n, i = self.d, self.n, self.readers(t, y)
-
-        def rows(envs):  # the readers' environments as rows vec(E_i)
-            return envs[..., i, :, :].reshape(envs.shape[:-3] + (len(i), d * d))
-
-        left = np.asarray(weights)[..., i, None] * rows(self.left)
-        w = np.matmul(left.swapaxes(-1, -2), rows(self.right[t + 1]))
-        return _permute_legs(w, d, (2, 4, 1, 3)) / d ** n  # [ket l, ket r, bra l, bra r]
+        i = self.readers(t, y)
+        left = np.asarray(weights)[..., i, None, None] * self.left[..., i, :, :]
+        return _slot_gemm(left, self.right[t + 1][..., i, :, :], self.d, self.n)
 
     def refold(self, t: int, y: int) -> tuple[np.ndarray, np.ndarray]:
         """The readers of slot (t, y) and their chain values with the operator now in it."""

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import CapacityError
+
 
 @dataclass(frozen=True, eq=False)
 class TermTable:
@@ -44,6 +46,8 @@ def build_encoding(n: int) -> TermTable:
     """The term table of an n-source chain, built once per n."""
     if n < 2:
         raise ValueError(f"chain scenario needs at least 2 sources, got n={n}")
+    if n > 63:
+        raise CapacityError(f"term table supports n <= 63 (2^(n-1) int64 row indices), got n={n}")
     # row i: the n bits of i, most significant first; i < 2^(n-1), so bit 0 is
     # 0.  Both tables are filled in place, so only they are ever held whole.
     central = (np.arange(1 << (n - 1), dtype=np.int64)[:, None]

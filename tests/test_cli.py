@@ -87,6 +87,31 @@ def test_dump_scenario_memory_is_bounded(tmp_path):
     assert path.read_text() == json.dumps(scenario_to_json_dict(16)) + "\n"
 
 
+@pytest.mark.parametrize("n", ["64", "1000"])
+def test_dump_scenario_past_limit_is_usage_error(capsys, n):
+    # the dump obeys bound's n limit: no empty table at n = 64, no numpy size error
+    code, out, err = run_cli(capsys, "bound", "--n", n, "--dump-scenario")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == f"bound --dump-scenario supports n <= 24, got {n}"
+
+
+def test_dump_scenario_limit_is_checked_before_any_table(capsys):
+    # n = 25 would fill 6.6 GB of term tables; it is refused before building one
+    tracemalloc.start()
+    try:
+        code = main(["bound", "--n", "25", "--dump-scenario"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "supports n <= 24" in json.loads(captured.err)["error"]
+    assert peak < 2 ** 20
+
+
 def test_quantum_n2(capsys):
     code, out, _ = run_cli(capsys, "quantum", "--n", "2")
     assert code == 0

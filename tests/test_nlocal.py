@@ -1,5 +1,6 @@
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,18 @@ def test_bruteforce_capacity():
             scores_or_alpha(BRUTEFORCE_MAX_N + 1)
         with pytest.raises(ValueError):
             scores_or_alpha(1)
+
+
+def test_bruteforce_memory_is_bounded():
+    # the row sum holds uint8 popcounts and their counts, never a 2^n vector
+    tracemalloc.start()
+    try:
+        result = alpha_bruteforce(24)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result == (alpha_closed_form(24), (1,) * 24) == (32449872, (1,) * 24)
+    assert peak < 100 * 2 ** 20
 
 
 def test_bound_report_witness_attains_alpha():

@@ -19,7 +19,7 @@ from chainlock.qcore import (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, ChainLayout, Ne
 from chainlock.scenario import TermTable, build_encoding
 from chainlock.soscert import condition_residuals
 from reference_folds import (bob_slot, chain_value, close_one, dense_term_vectors, edge_slot,
-                             einsum_pull, einsum_push, einsum_slot, open_one, pull_one, push_one)
+                             einsum_pull, einsum_push, einsum_slot, pull_one, push_one)
 
 SQ2 = np.sqrt(2.0)
 
@@ -472,7 +472,7 @@ def test_model_serialization_roundtrip():
 def test_bob_slot_matrix_matches_dense():
     # tr(O G) with the slot left open must reproduce the dense correlator
     # with O inserted, for every central position (dual route for the
-    # optimizer's effective operators)
+    # optimizer's effective operators); G is the one-term slot gemm, bit for bit
     from chainlock.qcore import bob_slot_matrix
     rng = np.random.default_rng(41)
     for n in (2, 3):
@@ -488,6 +488,9 @@ def test_bob_slot_matrix_matches_dense():
             probe = model.bobs[t - 1][combo[t - 1] - 1].matrix
             want = correlator_dense(model, x, combo, z)
             assert np.trace(probe @ g).real == pytest.approx(want, abs=1e-11)
+            chain = (model.alice[x - 1].matrix, [*before, probe, *after],
+                     model.charlie[z - 1].matrix)
+            assert np.array_equal(g, bob_slot([chain], [1.0], t - 1, 2, n))
 
 
 @given(st.integers(min_value=2, max_value=4), st.integers(min_value=0, max_value=2 ** 32 - 1),
@@ -600,8 +603,6 @@ def test_stacked_folds_equal_per_term_folds(n, d):
         assert value == close_one(pushed[i], rights[i], d, n)
     for i, value in enumerate(qcore.term_expectations(lefts, rights, bobs, central, d)):
         assert value == chain_value(lefts[i], ops[i], rights[i], d)
-    for i, g in enumerate(qcore.open_slots(lefts, rights, d, n)):
-        assert np.array_equal(g, open_one(lefts[i], rights[i], d, n))
 
     weights = rng.normal(size=terms)
     sweep = qcore.CentralSweep(lefts, rights, bobs, central, d)
@@ -646,8 +647,6 @@ def test_stacked_models_equal_lone_models(n, d):
             assert np.array_equal(got[k], want)
         assert np.array_equal(qcore.close(pushed, rights, d, n)[k],
                               qcore.close(pushed[k], rights[k], d, n))
-        assert np.array_equal(qcore.open_slots(lefts, rights, d, n)[k],
-                              qcore.open_slots(lefts[k], rights[k], d, n))
     signs = table.signs
     edge = cplx(n, models, d, d)
     hermitian = cplx(models, d * d, d * d)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainlock.errors import CapacityError
 from chainlock.scenario import build_bob_input_map, build_encoding, scenario_to_json_dict
 
 
@@ -22,6 +23,12 @@ def test_scenario_too_small():
         build_bob_input_map(1)
     with pytest.raises(ValueError):
         build_encoding(1)
+
+
+def test_encoding_refuses_overflowing_row_indices():
+    # 2^(n-1) row indices overflow int64 from n = 64: refused, not an empty table
+    with pytest.raises(CapacityError, match="n <= 63"):
+        build_encoding(64)
 
 
 def test_encoding_n2():
