@@ -16,7 +16,8 @@ import sys
 from contextlib import nullcontext
 
 from .constructions import SUPPORTED_N, optimal_model
-from .errors import CapacityError, ChainlockError, ConstructionFailedError
+from .errors import (CapacityError, ChainlockError, ConstructionFailedError, integer_at_least,
+                     positive_finite)
 from .nlocal import (BRUTEFORCE_MAX_N, EXHAUSTIVE_MAX_N, alpha_closed_form, bound_report,
                      lhv_exhaustive_max)
 from .qcore import beta_quantum, model_from_json_dict, model_to_json_dict
@@ -82,25 +83,19 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}")
-    return value
+def _library_rule(parse, rule, *bounds):
+    """argparse type: ``rule("value", parse(text), *bounds)``; a ValueError exits 2 (usage)."""
+    def convert(text: str):
+        try:
+            return rule("value", parse(text), *bounds)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not value > 0:  # also rejects nan
-        raise argparse.ArgumentTypeError(f"must be a number > 0, got {text}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text}")
-    return value
+_positive_int = _library_rule(int, integer_at_least, 1)
+_nonnegative_int = _library_rule(int, integer_at_least, 0)
+_positive_float = _library_rule(float, positive_finite)
 
 
 def _cmd_bound(args) -> int:
@@ -118,9 +113,8 @@ def _cmd_bound(args) -> int:
             env = os.environ.get("CHAINLOCK_THREADS") or "1"
             try:
                 threads = _positive_int(env)
-            except (ValueError, argparse.ArgumentTypeError):
-                return _fail(f"CHAINLOCK_THREADS must be an integer >= 1, got {env!r}",
-                             USAGE_ERROR)
+            except argparse.ArgumentTypeError as exc:
+                return _fail(f"CHAINLOCK_THREADS: {exc}", USAGE_ERROR)
         report = lhv_exhaustive_max(args.n, threads=threads)
     else:
         report = bound_report(args.n)

@@ -1,5 +1,9 @@
-"""Error types shared across the package."""
+"""Error types, and the input rules that every module and the command line share:
+``integer_at_least`` for integer counts, ``positive_finite`` for tolerances."""
 from __future__ import annotations
+
+import math
+import numbers
 
 
 class ChainlockError(Exception):
@@ -40,3 +44,18 @@ class ConstructionFailedError(ChainlockError):
 
 class DegenerateCertificateError(ChainlockError):
     """Some signed edge combination annihilates the state (omega = 0)."""
+
+
+def integer_at_least(name: str, value, low: int) -> int:
+    """``value`` as a plain int, or ValueError naming ``name``: bools (an int subclass),
+    floats (4.0 too) and values below ``low`` are refused, numpy integers accepted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def positive_finite(name: str, value) -> float:
+    """``value`` as a float; ValueError naming ``name`` unless it is a finite real > 0."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+    return float(value)

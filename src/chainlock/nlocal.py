@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ShapeError
+from .errors import CapacityError, ShapeError, integer_at_least
 from .scenario import build_encoding
 
 BRUTEFORCE_MAX_N = 24
@@ -45,9 +44,16 @@ class DeterministicStrategy:
     def __post_init__(self):
         if any(len(pair) != 2 for pair in self.bobs):
             raise ShapeError("each central party needs exactly 2 signs")
-        for group in (self.alice, self.charlie, *self.bobs):
-            if any(v not in (-1, 1) for v in group):
+
+        def signs(group) -> tuple[int, ...]:  # plain ints, for JSON; True is not +1
+            values = tuple(integer_at_least("strategy entry", v, -1) for v in group)
+            if any(v not in (-1, 1) for v in values):
                 raise ValueError("strategy entries must be +1 or -1")
+            return values
+
+        object.__setattr__(self, "alice", signs(self.alice))
+        object.__setattr__(self, "charlie", signs(self.charlie))
+        object.__setattr__(self, "bobs", tuple(map(signs, self.bobs)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -110,8 +116,7 @@ class BoundReport:
 
 def alpha_closed_form(n: int) -> int:
     """Classical ceiling n C(n-1, floor((n-1)/2)): sum_{l<=n/2} C(n,l) (n - 2l), telescoped."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    n = integer_at_least("n", n, 2)
     return n * math.comb(n - 1, (n - 1) // 2)
 
 
@@ -134,8 +139,7 @@ def alpha_bruteforce(n: int) -> tuple[int, tuple[int, ...]]:
     Every assignment scores f(1) = sum_u |n - 2*popcount(u)| over the 2^(n-1)
     row indices u (see ``assignment_scores``), counted by popcount in uint8.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    n = integer_at_least("n", n, 2)
     if n > BRUTEFORCE_MAX_N:
         raise CapacityError(f"alpha_bruteforce supports n <= {BRUTEFORCE_MAX_N}, got {n}")
     counts = np.bincount(np.bitwise_count(np.arange(1 << (n - 1), dtype=np.uint32)),
@@ -145,6 +149,7 @@ def alpha_bruteforce(n: int) -> tuple[int, tuple[int, ...]]:
 
 def bound_report(n: int) -> BoundReport:
     """Closed form vs brute force, with a strategy witness achieving the bound."""
+    n = integer_at_least("n", n, 2)
     closed = alpha_closed_form(n)
     brute, edge = alpha_bruteforce(n)
     # charlie mirroring alice makes every J_i a perfect square, so the witness
@@ -269,11 +274,10 @@ def lhv_exhaustive_max(n: int, threads: int = 1) -> BoundReport:
     of it: chunks are reduced in order and ties keep the lexicographically
     first witness.
     """
-    if isinstance(threads, bool) or not isinstance(threads, numbers.Integral) or threads < 1:
-        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
-    if not 2 <= n <= EXHAUSTIVE_MAX_N:
-        raise CapacityError(
-            f"lhv_exhaustive_max supports 2 <= n <= {EXHAUSTIVE_MAX_N}, got {n}")
+    threads = integer_at_least("threads", threads, 1)
+    n = integer_at_least("n", n, 2)
+    if n > EXHAUSTIVE_MAX_N:
+        raise CapacityError(f"lhv_exhaustive_max supports n <= {EXHAUSTIVE_MAX_N}, got {n}")
     total = 2 ** (2 * n + 2 * (n - 1))
     threads = min(threads, os.cpu_count() or 1)
     chunk = -(-total // threads)

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (CapacityError, NumericalConsistencyError, ShapeError,
-                     UnsupportedStateError)
+                     UnsupportedStateError, integer_at_least)
 from .scenario import build_encoding
 
 PAULI_I = np.eye(2, dtype=complex)
@@ -79,18 +78,8 @@ class ChainLayout:
     qubits_per_half: int
 
     def __post_init__(self):
-        for name in ("n", "qubits_per_half"):  # plain ints, so the layout dumps to JSON
-            value = getattr(self, name)
-            try:
-                if isinstance(value, bool):  # an int subclass in Python
-                    raise TypeError
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
-        if self.n < 2:
-            raise ValueError(f"need n >= 2, got {self.n}")
-        if self.qubits_per_half < 1:
-            raise ValueError("need at least one qubit per half")
+        for name, low in (("n", 2), ("qubits_per_half", 1)):  # plain ints, for JSON
+            object.__setattr__(self, name, integer_at_least(name, getattr(self, name), low))
 
     @property
     def total_qubits(self) -> int:
@@ -218,8 +207,7 @@ def jordan_wigner_set(n_obs: int) -> list[Observable]:
     Site j contributes the pair Z^(j-1) X I... and Z^(j-1) Y I...; an odd count
     appends Z^m.  The two-observable set is (X, Z), the standard CHSH pair.
     """
-    if n_obs < 1:
-        raise ValueError("need at least one observable")
+    n_obs = integer_at_least("n_obs", n_obs, 1)
     if n_obs == 2:
         return [Observable(PAULI_X), Observable(PAULI_Z)]
     m = max(1, -(-(n_obs - 1) // 2))
@@ -658,12 +646,10 @@ def model_from_json_dict(data: dict) -> QuantumModel:
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ShapeError(f"model field {name!r} is missing or malformed: {exc!r}") from None
 
-    def integer(value):  # a JSON integer; bool is an int subclass in Python
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise TypeError(f"expected an integer, got {value!r}")
-        return value
+    def integer(name, low):
+        return field(name, lambda value: integer_at_least(name, value, low))
 
-    return make_model(field("n", integer), field("alice"),
+    return make_model(integer("n", 2), field("alice"),
                       field("bobs", lambda pairs: [[_matrix_from_pairs(m) for m in p]
                                                    for p in pairs]),
-                      field("charlie"), qubits_per_half=field("qubits_per_half", integer))
+                      field("charlie"), qubits_per_half=integer("qubits_per_half", 1))

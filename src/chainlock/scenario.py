@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError
+from .errors import CapacityError, integer_at_least
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,11 +41,10 @@ class TermTable:
         return len(self.signs)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)  # typed: 4.0 must not hit the table of n=4
 def build_encoding(n: int) -> TermTable:
     """The term table of an n-source chain, built once per n."""
-    if n < 2:
-        raise ValueError(f"chain scenario needs at least 2 sources, got n={n}")
+    n = integer_at_least("n", n, 2)
     if n > 63:
         raise CapacityError(f"term table supports n <= 63 (2^(n-1) int64 row indices), got n={n}")
     # row i: the n bits of i, most significant first; i < 2^(n-1), so bit 0 is

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import integer_at_least, positive_finite
 from .qcore import (CentralSweep, QuantumModel, close, default_layout, dichotomic_projection,
                     edge_sums, make_model, pull, push, random_dichotomic, signed_sums,
                     term_expectations)
@@ -57,18 +58,12 @@ class SeesawConfig:
     qubits_per_half: int | None = None
 
     def __post_init__(self):
-        def number(value, kinds) -> bool:  # bool is an int subclass in Python
-            return isinstance(value, kinds) and not isinstance(value, bool)
-
         for name, low in (("max_iterations", 1), ("restarts", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not (number(value, (int, np.integer)) and value >= low):
-                raise ValueError(f"need an integer {name} >= {low}, got {value!r}")
-        if not (number(self.tolerance, (int, float)) and 0 < self.tolerance < math.inf):
-            raise ValueError(f"need a finite tolerance > 0, got {self.tolerance!r}")
-        m = self.qubits_per_half
-        if not (m is None or (number(m, (int, np.integer)) and m >= 1)):
-            raise ValueError(f"need qubits_per_half None or an integer >= 1, got {m!r}")
+            object.__setattr__(self, name, integer_at_least(name, getattr(self, name), low))
+        if self.qubits_per_half is not None:  # None: the default layout
+            object.__setattr__(self, "qubits_per_half",
+                               integer_at_least("qubits_per_half", self.qubits_per_half, 1))
+        object.__setattr__(self, "tolerance", positive_finite("tolerance", self.tolerance))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCertificateError
+from .errors import DegenerateCertificateError, integer_at_least, positive_finite
 from .qcore import (BellChainState, NetworkState, QuantumModel, anticommutator_report,
                     beta_quantum, edge_sums, reduced_density, term_vectors)
 
@@ -54,8 +54,7 @@ class CertificateReport:
 
 def tsirelson_ceiling(n: int) -> float:
     """Dimension-independent quantum ceiling 2^(n-1) sqrt(n)."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    n = integer_at_least("n", n, 2)
     return 2 ** (n - 1) * math.sqrt(n)
 
 
@@ -99,6 +98,7 @@ def condition_residuals(model: QuantumModel) -> list[float]:
 
 def certify(model: QuantumModel, tol: float = CERTIFICATE_TOL) -> CertificateReport:
     """Full certificate: omega values, tau, beta, gap, residuals, anticommutators."""
+    tol = positive_finite("tol", tol)  # an infinite tol would certify every model
     n = model.n
     ya, yc = edge_sums(n, model.alice, model.charlie)
     omega_a, omega_c = _omegas(model.state, ya, yc)

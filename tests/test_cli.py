@@ -37,7 +37,7 @@ def test_bound_usage_error(capsys):
     code, _, err = run_cli(capsys, "bound", "--n", "1")
     assert code == 2
     assert "error" in json.loads(err)
-    for threads in ("abc", "0", "-5"):
+    for threads in ("abc", "0", "-5", "2.0", "inf"):
         code, _, _ = run_cli(capsys, "bound", "--n", "2", "--exhaustive", "--threads", threads)
         assert code == 2
 
@@ -210,6 +210,10 @@ def test_certify_uncertified_model_exits_1(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "certify", "--model", str(path))
     assert code == 1
     assert json.loads(out)["certified"] is False
+    for tol in ("inf", "-inf"):  # --tol inf certified this model, exit 0
+        code, out, _ = run_cli(capsys, "certify", "--model", str(path), "--tol", tol)
+        assert code == 2
+        assert out == ""
 
 
 def test_certify_missing_file(capsys):
@@ -337,7 +341,7 @@ def test_threads_env_fallback(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "bound", "--n", "2", "--exhaustive")
     assert code == 0
     assert json.loads(out)["lhv_max"] == 2
-    for bad in ("abc", "0", "-5"):
+    for bad in ("abc", "0", "-5", "2.0"):
         monkeypatch.setenv("CHAINLOCK_THREADS", bad)
         code, _, err = run_cli(capsys, "bound", "--n", "2", "--exhaustive")
         assert code == 2
@@ -365,7 +369,7 @@ def test_removed_options_are_usage_errors(capsys, argv):
     ("seesaw", "--restarts"), ("seesaw", "--max-iterations"), ("seesaw", "--tol"),
     ("seesaw", "--pairs-per-source"), ("quantum", "--pairs-per-source"),
 ])
-@pytest.mark.parametrize("value", ["0", "-1", "abc"])
+@pytest.mark.parametrize("value", ["0", "-1", "abc", "inf", "nan"])
 def test_nonpositive_numbers_are_usage_errors(capsys, command, option, value):
     # rejected while parsing, before any computation starts
     code, out, _ = run_cli(capsys, command, "--n", "2", option, value)

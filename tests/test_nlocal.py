@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 import tracemalloc
 
@@ -300,8 +301,26 @@ def test_lhv_exhaustive_capacity():
 
 
 def test_strategy_validation():
-    with pytest.raises(ValueError):
-        DeterministicStrategy(alice=(1, 0), charlie=(1, 1), bobs=((1, 1),))
+    # True passed as +1 and was dumped as JSON true
+    for alice in ((1, 0), (1, 2), (True, 1), (1, 1.0), (1, np.True_)):
+        with pytest.raises(ValueError):
+            DeterministicStrategy(alice=alice, charlie=(1, 1), bobs=((1, 1),))
+
+
+def test_strategy_stores_plain_ints():
+    s = DeterministicStrategy(alice=(np.int64(1), -1), charlie=np.array([1, -1]),
+                              bobs=((np.int8(-1), 1),))
+    assert s == DeterministicStrategy(alice=(1, -1), charlie=(1, -1), bobs=((-1, 1),))
+    assert all(type(v) is int for group in (s.alice, s.charlie, *s.bobs) for v in group)
+    assert json.dumps(s.to_json_dict()) == \
+        '{"alice": [1, -1], "charlie": [1, -1], "bobs": [[-1, 1]]}'
+
+
+def test_bound_report_of_numpy_n_dumps_to_json():
+    # n stayed a numpy scalar, which json.dumps refuses
+    for rep in (bound_report(np.int64(4)), lhv_exhaustive_max(np.int64(2), np.int64(1))):
+        assert type(rep.n) is int
+        assert json.loads(json.dumps(rep.to_json_dict()))["n"] == rep.n
 
 
 @pytest.mark.parametrize("pair", [(1, 1, -1), (1,)])

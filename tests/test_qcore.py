@@ -76,6 +76,7 @@ def test_layout_slots():
 @pytest.mark.parametrize("field, value", [
     ("n", True), ("n", 3.0), ("n", "3"), ("qubits_per_half", True),
     ("qubits_per_half", 2.0), ("qubits_per_half", np.True_),
+    ("n", 2.5), ("n", 1), ("qubits_per_half", 0),
 ])
 def test_layout_rejects_non_integers(field, value):
     with pytest.raises(ValueError, match=field):
@@ -133,6 +134,14 @@ def test_jordan_wigner_small_sets():
     assert np.allclose(mats[0], PAULI_X)
     assert np.allclose(mats[1], PAULI_Y)
     assert np.allclose(mats[2], PAULI_Z)
+    assert len(jordan_wigner_set(np.int64(4))) == 4
+
+
+@pytest.mark.parametrize("n_obs", [2.0, True, 0, "2"])
+def test_jordan_wigner_rejects_bad_counts(n_obs):
+    # 2.0 gave the CHSH pair and True gave [X]
+    with pytest.raises(ValueError, match="n_obs"):
+        jordan_wigner_set(n_obs)
 
 
 @pytest.mark.parametrize("n_obs", [2, 3, 4, 5, 6, 7])

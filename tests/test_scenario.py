@@ -6,7 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainlock.errors import CapacityError
+from chainlock.nlocal import alpha_bruteforce, alpha_closed_form, bound_report, lhv_exhaustive_max
+from chainlock.qcore import ChainLayout
 from chainlock.scenario import build_bob_input_map, build_encoding, scenario_to_json_dict
+from chainlock.seesaw import seesaw_optimize
+from chainlock.soscert import tsirelson_ceiling
 
 
 def test_scenario_counts():
@@ -23,6 +27,26 @@ def test_scenario_too_small():
         build_bob_input_map(1)
     with pytest.raises(ValueError):
         build_encoding(1)
+
+
+@pytest.mark.parametrize("entry", [
+    build_encoding, alpha_closed_form, alpha_bruteforce, lhv_exhaustive_max, bound_report,
+    tsirelson_ceiling, seesaw_optimize, lambda n: ChainLayout(n=n, qubits_per_half=1),
+], ids=["build_encoding", "alpha_closed_form", "alpha_bruteforce", "lhv_exhaustive_max",
+        "bound_report", "tsirelson_ceiling", "seesaw_optimize", "ChainLayout"])
+@pytest.mark.parametrize("n", [1, 2.5, 4.0, True, "3"])
+def test_every_entry_point_holds_n_to_one_rule(entry, n):
+    # 4.0 was a bare TypeError, 2.5 gave tsirelson_ceiling 4.472 and True an n=1 error
+    with pytest.raises(ValueError, match="n must be an integer >= 2"):
+        entry(n)
+
+
+def test_cached_table_does_not_bypass_the_n_rule():
+    # the cache keyed 4.0 equal to a cached np.int64(4), so it skipped the check
+    for valid, invalid in ((np.int64(4), 4.0), (np.int64(2), 2.0)):
+        assert build_encoding(valid).n == valid
+        with pytest.raises(ValueError, match="n must be an integer"):
+            build_encoding(invalid)
 
 
 def test_encoding_refuses_overflowing_row_indices():

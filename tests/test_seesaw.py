@@ -1,9 +1,11 @@
+import math
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from chainlock.nlocal import alpha_closed_form
 from chainlock.qcore import Observable, beta_quantum, dichotomic_projection
 from chainlock.scenario import build_encoding
 from chainlock import seesaw
@@ -29,6 +31,11 @@ def test_config_validation():
     ("restarts", 2.0),  # a TypeError once the run started
     ("max_iterations", 2.5),
     ("seed", -1),  # a ValueError from the generator once the run started
+    ("seed", 1.0),
+    ("tolerance", -math.inf),
+    ("tolerance", True),
+    ("tolerance", "1e-7"),
+    ("max_iterations", np.int64(0)),
 ])
 def test_config_rejects_bad_values(field, value):
     with pytest.raises(ValueError, match=field):
@@ -36,8 +43,13 @@ def test_config_rejects_bad_values(field, value):
 
 
 def test_config_accepts_numpy_integers():
-    assert SeesawConfig(restarts=np.int64(2), seed=np.int64(3)).restarts == 2
-    assert SeesawConfig(qubits_per_half=np.int64(2)).qubits_per_half == 2
+    config = SeesawConfig(restarts=np.int64(2), seed=np.int64(3), max_iterations=np.int32(5),
+                          qubits_per_half=np.int64(2), tolerance=np.float32(0.5))
+    assert (config.restarts, config.seed, config.max_iterations, config.qubits_per_half,
+            config.tolerance) == (2, 3, 5, 2, 0.5)
+    assert all(type(getattr(config, f)) is int
+               for f in ("restarts", "seed", "max_iterations", "qubits_per_half"))
+    assert type(config.tolerance) is float
 
 
 @pytest.mark.parametrize("value", [True, 2.0, 0, -1, "2"])
@@ -146,6 +158,14 @@ def test_seesaw_pinned_runs(n, m, seed, restarts, max_iterations, betas, length)
     assert rep.restart_betas == betas
     assert len(rep.trace) == length
     assert rep.best_beta == beta_quantum(rep.best_model, evaluator="contracted")[0]
+
+
+def test_seesaw_n6_row_violates():
+    # the README landscape's n = 6 row:
+    # chainlock seesaw --n 6 --pairs-per-source 1 --restarts 8 --seed 0
+    rep = seesaw_optimize(6, SeesawConfig(restarts=8, seed=0, qubits_per_half=1))
+    assert rep.best_beta > alpha_closed_form(6)
+    assert rep.best_beta == pytest.approx(60.0369239481, abs=1e-6)
 
 
 @pytest.mark.parametrize("n, seed, restarts, max_iterations", [

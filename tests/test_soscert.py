@@ -19,6 +19,15 @@ def test_ceiling_values():
         tsirelson_ceiling(1)
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0, -1, True, "1e-7"])
+def test_certify_rejects_bad_tol(tol):
+    # an infinite tol certified every model, this uncertified one included
+    model = random_model(2, seed=5)
+    assert not certify(model).certified
+    with pytest.raises(ValueError, match="tol"):
+        certify(model, tol=tol)
+
+
 def test_omega_anticommuting_edges_hit_sqrt_n():
     edges = [o.matrix for o in jordan_wigner_set(3)]
     model = make_model(3, edges, [[np.eye(4)] * 2] * 2, edges)
