@@ -5,7 +5,8 @@ certification, unmet --require-certified, failed allocation), 2 usage error
 (bad options, or an n past a command's limit: ``bound --n`` above
 BRUTEFORCE_MAX_N, or EXHAUSTIVE_MAX_N with --exhaustive, ``quantum --n`` outside
 SUPPORTED_N, ``sweep --n-max`` above SWEEP_MAX_N, where a ratio overflows).
-Errors print as single-line JSON objects on stderr.
+Integer flags (``--n`` too) obey ``errors.integer_at_least``.  Errors, argparse's
+own too, print as single-line JSON objects on stderr.
 """
 from __future__ import annotations
 
@@ -93,6 +94,7 @@ def _library_rule(parse, rule, *bounds):
     return convert
 
 
+_chain_n = _library_rule(int, integer_at_least, 2)
 _positive_int = _library_rule(int, integer_at_least, 1)
 _nonnegative_int = _library_rule(int, integer_at_least, 0)
 _positive_float = _library_rule(float, positive_finite)
@@ -198,6 +200,11 @@ def sweep_rows(n_min: int, n_max: int) -> list[dict]:
 
 
 def _cmd_sweep(args) -> int:
+    if args.n_min > args.n_max:
+        return _fail(f"invalid range {args.n_min}..{args.n_max}", USAGE_ERROR)
+    if args.n_max > SWEEP_MAX_N:
+        return _fail(f"sweep rows overflow a float from n={SWEEP_MAX_N + 1}; "
+                     f"need n-max <= {SWEEP_MAX_N}", USAGE_ERROR)
     rows = sweep_rows(args.n_min, args.n_max)
     if args.output == "json":
         _emit(rows, args.out)
@@ -214,15 +221,24 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+class _UsageError(Exception):
+    """An argparse error, mapped by ``main`` to one JSON line and exit code 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # instead of a usage block on stderr and SystemExit(2)
+        raise _UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chainlock",
         description="n-locality inequalities on linear-chain networks")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, with_n=True):
         if with_n:
-            p.add_argument("--n", type=int, required=True, help="number of sources (>= 2)")
+            p.add_argument("--n", type=_chain_n, required=True, help="number of sources (>= 2)")
         p.add_argument("--out", help="write output to this path instead of stdout")
 
     p_bound = sub.add_parser("bound", help="classical n-local bound")
@@ -262,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.set_defaults(func=_cmd_certify)
 
     p_sweep = sub.add_parser("sweep", help="alpha vs ceiling across a range of n")
-    p_sweep.add_argument("--n-min", type=int, required=True)
-    p_sweep.add_argument("--n-max", type=int, required=True)
+    p_sweep.add_argument("--n-min", type=_chain_n, required=True)
+    p_sweep.add_argument("--n-max", type=_chain_n, required=True)
     p_sweep.add_argument("--output", choices=["csv", "json"], default="csv")
     p_sweep.add_argument("--out", help="write output to this path instead of stdout")
     p_sweep.set_defaults(func=_cmd_sweep)
@@ -271,22 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return USAGE_ERROR if exc.code not in (0, None) else 0
-    n = getattr(args, "n", None)
-    if n is not None and n < 2:
-        return _fail(f"need n >= 2, got {n}", USAGE_ERROR)
-    if args.command == "sweep":
-        if not 2 <= args.n_min <= args.n_max:
-            return _fail(f"invalid range {args.n_min}..{args.n_max}", USAGE_ERROR)
-        if args.n_max > SWEEP_MAX_N:
-            return _fail(f"sweep rows overflow a float from n={SWEEP_MAX_N + 1}; "
-                         f"need n-max <= {SWEEP_MAX_N}", USAGE_ERROR)
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except _UsageError as exc:
+        return _fail(str(exc), USAGE_ERROR)
     except (ChainlockError, ValueError, OSError) as exc:
         return _fail(str(exc), COMPUTE_ERROR)
     except MemoryError as exc:

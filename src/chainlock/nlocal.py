@@ -160,29 +160,27 @@ def bound_report(n: int) -> BoundReport:
                        witness=witness, match=closed == brute)
 
 
-@functools.lru_cache(maxsize=None)
-def _input_grids(n: int):
-    return np.meshgrid(np.arange(n), np.arange(2 ** (n - 1)), np.arange(n), indexing="ij")
+def _strategy_bits(n: int, idx) -> np.ndarray:
+    """Bit rows of strategy numbers ``idx``, most significant first: Alice's n inputs,
+    Charlie's n, then inputs 1 and 2 of each central party; bit 1 is sign -1."""
+    return (np.asarray(idx, dtype=np.int64)[:, None] >> np.arange(4 * n - 3, -1, -1)) & 1
 
 
-def _behavior_tables(n: int, idx) -> np.ndarray:
-    """Deterministic tables of strategies ``idx``, stacked as (B, 2, half, 2, n, half, n).
+def _behavior_tables(n: int, bits: np.ndarray) -> np.ndarray:
+    """Deterministic tables of strategy bit rows ``bits``, stacked as (B, 2, half, 2, n, half, n).
 
-    Strategy bits are read as in ``_strategy_from_index``; an outcome bit is
-    the strategy bit (sign -1 <-> outcome 1).  Each table is checked like a
-    ``Behavior``.
+    An outcome bit is the strategy bit (sign -1 <-> outcome 1).  Each table is
+    checked like a ``Behavior``.
     """
-    idx = np.asarray(idx, dtype=np.int64)
-    half, nbits = 2 ** (n - 1), 4 * n - 2
-    bits = (idx[:, None] >> np.arange(nbits - 1, -1, -1)) & 1
+    half = 2 ** (n - 1)
     a_bits, c_bits = bits[:, :n], bits[:, n:2 * n]
-    bob_bits = bits[:, 2 * n:].reshape(len(idx), n - 1, 2)
+    bob_bits = bits[:, 2 * n:].reshape(len(bits), n - 1, 2)
     # answers[s, k, m]: central party m's outcome bit in term k, packed big-endian
     answers = bob_bits[:, np.arange(n - 1), build_encoding(n).central]
     b_packed = answers @ (1 << np.arange(n - 2, -1, -1))
-    tables = np.zeros((len(idx), 2, half, 2, n, half, n))
-    xx, kk, zz = _input_grids(n)
-    ss = np.arange(len(idx))[:, None, None, None]
+    tables = np.zeros((len(bits), 2, half, 2, n, half, n))
+    xx, kk, zz = np.ix_(range(n), range(half), range(n))
+    ss = np.arange(len(bits))[:, None, None, None]
     tables[ss, a_bits[:, xx], b_packed[:, kk], c_bits[:, zz], xx, kk, zz] = 1.0
     _check_probabilities(tables)
     return tables
@@ -218,20 +216,13 @@ def _betas(n: int, tables: np.ndarray) -> np.ndarray:
     return beta
 
 
-def _index_from_strategy(strategy: DeterministicStrategy) -> int:
-    """Inverse of ``_strategy_from_index``."""
-    idx = 0
-    for s in (*strategy.alice, *strategy.charlie, *(s for pair in strategy.bobs for s in pair)):
-        idx = 2 * idx + (1 - s) // 2
-    return idx
-
-
 def behavior_from_strategy(strategy: DeterministicStrategy, n: int) -> Behavior:
     """Deterministic behavior: probability 1 on the outputs the strategy dictates."""
     if (len(strategy.alice) != n or len(strategy.charlie) != n
             or len(strategy.bobs) != n - 1):
         raise ShapeError(f"strategy dimensions do not match n={n}")
-    return Behavior(n=n, table=_behavior_tables(n, [_index_from_strategy(strategy)])[0])
+    signs = np.concatenate([strategy.alice, strategy.charlie, np.ravel(strategy.bobs)])
+    return Behavior(n=n, table=_behavior_tables(n, (1 - signs[None]) // 2)[0])
 
 
 def beta_of_behavior(behavior: Behavior) -> float:
@@ -241,13 +232,9 @@ def beta_of_behavior(behavior: Behavior) -> float:
 
 def _strategy_from_index(n: int, idx: int) -> DeterministicStrategy:
     """Strategy number idx in lexicographic order over (alice, charlie, bobs) bits."""
-    nbits = 2 * n + 2 * (n - 1)
-    bits = [(idx >> (nbits - 1 - j)) & 1 for j in range(nbits)]
-    signs = [1 - 2 * b for b in bits]
-    alice = tuple(signs[:n])
-    charlie = tuple(signs[n:2 * n])
-    bobs = tuple((signs[2 * n + 2 * m], signs[2 * n + 2 * m + 1]) for m in range(n - 1))
-    return DeterministicStrategy(alice=alice, charlie=charlie, bobs=bobs)
+    signs = (1 - 2 * _strategy_bits(n, [idx])[0]).tolist()
+    bobs = tuple(zip(signs[2 * n::2], signs[2 * n + 1::2]))
+    return DeterministicStrategy(alice=tuple(signs[:n]), charlie=tuple(signs[n:2 * n]), bobs=bobs)
 
 
 def _search_range(args: tuple[int, int, int]) -> tuple[float, int]:
@@ -259,7 +246,8 @@ def _search_range(args: tuple[int, int, int]) -> tuple[float, int]:
     best, best_idx = -1.0, -1
     for lo in range(start, stop, batch):
         idx = np.arange(lo, min(lo + batch, stop))
-        for i, beta in zip(idx.tolist(), _betas(n, _behavior_tables(n, idx)).tolist()):
+        betas = _betas(n, _behavior_tables(n, _strategy_bits(n, idx)))
+        for i, beta in zip(idx.tolist(), betas.tolist()):
             if beta > best + 1e-12:
                 best, best_idx = beta, i
     return best, best_idx

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -270,12 +271,17 @@ def _real_or_raise(value: complex, what: str) -> float:
     return float(value.real)
 
 
-def _check_inputs(n: int, x: int, bob_inputs, z: int):
-    """The correlators' input contract: 1-based edge inputs and n-1 central inputs."""
-    if not (1 <= x <= n and 1 <= z <= n):
+def _check_inputs(n: int, x, bob_inputs, z) -> tuple[int, list[int], int]:
+    """The correlators' input contract, and their one decoder: 1-based edge inputs
+    and n-1 central inputs, as plain ints.  Numpy integers are accepted; bools
+    (``np.True_`` too) and non-integers (``1.0`` too) are refused."""
+    def valid(v, top):
+        return isinstance(v, numbers.Integral) and not isinstance(v, bool) and 1 <= v <= top
+    if not (valid(x, n) and valid(z, n)):
         raise IndexError(f"edge inputs must lie in 1..{n}")
-    if len(bob_inputs) != n - 1 or any(y not in (1, 2) for y in bob_inputs):
+    if len(bob_inputs) != n - 1 or not all(valid(y, 2) for y in bob_inputs):
         raise ShapeError(f"need {n - 1} central inputs from {{1,2}}")
+    return int(x), [int(y) for y in bob_inputs], int(z)
 
 
 def correlator_dense(model: QuantumModel, x: int, bob_inputs, z: int) -> float:
@@ -284,7 +290,7 @@ def correlator_dense(model: QuantumModel, x: int, bob_inputs, z: int) -> float:
     x, z and the bob inputs are 1-based, matching the term conventions.
     """
     n, lay = model.n, model.layout
-    _check_inputs(n, x, bob_inputs, z)
+    x, bob_inputs, z = _check_inputs(n, x, bob_inputs, z)
     total = lay.total_qubits
     amp = model.state.amplitudes
     phi = apply_to_slot(amp, model.alice[x - 1].matrix, *lay.alice_slot(), total)
@@ -474,7 +480,7 @@ def correlator_contracted(model: QuantumModel, x: int, bob_inputs, z: int) -> fl
     """Same contract as correlator_dense, evaluated by chain contraction."""
     require_bell_chain(model.state)
     n, d = model.n, model.layout.link_dim
-    _check_inputs(n, x, bob_inputs, z)
+    x, bob_inputs, z = _check_inputs(n, x, bob_inputs, z)
     bobs = [[o.matrix for o in pair] for pair in model.bobs]
     val = term_expectations(model.alice[x - 1].matrix[None], model.charlie[z - 1].matrix[None],
                             bobs, np.array([bob_inputs], dtype=np.int64) - 1, d)[0]

@@ -41,10 +41,13 @@ class TermTable:
         return len(self.signs)
 
 
-@functools.lru_cache(maxsize=None, typed=True)  # typed: 4.0 must not hit the table of n=4
 def build_encoding(n: int) -> TermTable:
-    """The term table of an n-source chain, built once per n."""
-    n = integer_at_least("n", n, 2)
+    """The term table of an n-source chain, built once per n (a numpy integer shares it)."""
+    return _term_table(integer_at_least("n", n, 2))
+
+
+@functools.lru_cache(maxsize=None)
+def _term_table(n: int) -> TermTable:
     if n > 63:
         raise CapacityError(f"term table supports n <= 63 (2^(n-1) int64 row indices), got n={n}")
     # row i: the n bits of i, most significant first; i < 2^(n-1), so bit 0 is

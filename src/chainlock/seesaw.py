@@ -37,8 +37,8 @@ import numpy as np
 
 from .errors import integer_at_least, positive_finite
 from .qcore import (CentralSweep, QuantumModel, close, default_layout, dichotomic_projection,
-                    edge_sums, make_model, pull, push, random_dichotomic, signed_sums,
-                    term_expectations)
+                    edge_sums, make_model, model_to_json_dict, pull, push, random_dichotomic,
+                    signed_sums, term_expectations)
 from .scenario import build_encoding
 
 WEIGHT_FLOOR = 1e-12
@@ -78,7 +78,6 @@ class SeesawReport:
     restart_betas: tuple[float, ...]
 
     def to_json_dict(self) -> dict:
-        from .qcore import model_to_json_dict
         return {
             "best_beta": self.best_beta,
             "converged": self.converged,

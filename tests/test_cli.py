@@ -17,6 +17,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_one_json_line(out, err):
+    # a usage error prints nothing on stdout and one {"error": ...} line on stderr
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert list(json.loads(err)) == ["error"]
+
+
 def test_bound_n3(capsys):
     code, out, _ = run_cli(capsys, "bound", "--n", "3")
     assert code == 0
@@ -53,8 +60,9 @@ def test_bound_past_limit_is_usage_error(capsys, argv):
 
 
 def test_missing_subcommand_is_usage_error(capsys):
-    code, _, _ = run_cli(capsys, "bound")  # missing --n
+    code, out, err = run_cli(capsys, "bound")  # missing --n
     assert code == 2
+    assert_one_json_line(out, err)
 
 
 def test_dump_scenario(capsys):
@@ -356,12 +364,21 @@ def test_threads_env_fallback(capsys, monkeypatch):
     ["quantum", "--n", "2", "--dump-scenario"],
     ["seesaw", "--n", "2", "--dump-scenario"],
     ["quantum", "--n", "2", "--evaluator", "dense"],
+    [],
+    ["nosuch"],
+    ["bound", "--n", "x"],
+    ["bound", "--n", "1"],
+    ["quantum", "--n", "2.0"],
+    ["bound", "--n", "2", "--bogus"],
+    ["sweep", "--n-min", "1", "--n-max", "3"],
+    ["sweep", "--n-min", "2", "--n-max", "3", "--output", "xml"],
 ])
 def test_removed_options_are_usage_errors(capsys, argv):
     # --threads and --dump-scenario belong to bound alone, and quantum has no
-    # --construction or --evaluator
-    code, _, _ = run_cli(capsys, *argv)
+    # --construction or --evaluator; argparse's own errors are JSON lines too
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
+    assert_one_json_line(out, err)
 
 
 
@@ -372,9 +389,10 @@ def test_removed_options_are_usage_errors(capsys, argv):
 @pytest.mark.parametrize("value", ["0", "-1", "abc", "inf", "nan"])
 def test_nonpositive_numbers_are_usage_errors(capsys, command, option, value):
     # rejected while parsing, before any computation starts
-    code, out, _ = run_cli(capsys, command, "--n", "2", option, value)
+    code, out, err = run_cli(capsys, command, "--n", "2", option, value)
     assert code == 2
     assert out == ""
+    assert_one_json_line(out, err)
 
 
 def test_negative_seed_is_usage_error(capsys):

@@ -12,7 +12,7 @@ from chainlock import nlocal
 from chainlock.errors import CapacityError, ShapeError
 from chainlock.nlocal import (BRUTEFORCE_MAX_N, Behavior, DeterministicStrategy,
                               _behavior_tables, _betas,
-                              _search_range, _strategy_from_index,
+                              _search_range, _strategy_bits, _strategy_from_index,
                               alpha_bruteforce, alpha_closed_form, assignment_scores, behavior_from_strategy,
                               beta_of_behavior, bound_report, lhv_exhaustive_max)
 from chainlock.scenario import build_encoding
@@ -262,7 +262,7 @@ def test_batched_tables_and_betas_match_reference(n, stride):
     # deterministic correlators are exactly +-1 and every J_i an exact integer,
     # so the stacked route and the one-table functions agree bit for bit
     idx = np.arange(0, 2 ** (4 * n - 2), stride)
-    tables = _behavior_tables(n, idx)
+    tables = _behavior_tables(n, _strategy_bits(n, idx))
     betas = _betas(n, tables)
     for row, i in enumerate(idx.tolist()):
         strategy = _strategy_from_index(n, i)

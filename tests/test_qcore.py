@@ -186,6 +186,16 @@ def test_correlator_input_validation(correlator):
         correlator(model, 1, (1, 1), 1)
     with pytest.raises(ShapeError):
         correlator(model, 1, (3,), 1)
+    # one decoder for both evaluators: bools and floats are refused, numpy integers kept
+    for bad in (True, 1.0, np.True_):
+        with pytest.raises(IndexError):
+            correlator(model, bad, (1,), 1)
+        with pytest.raises(IndexError):
+            correlator(model, 1, (1,), bad)
+        with pytest.raises(ShapeError):
+            correlator(model, 1, (bad,), 1)
+    one = np.int64(1)
+    assert correlator(model, one, (one,), one) == correlator(model, 1, (1,), 1)
 
 
 @pytest.mark.parametrize("n,m", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2)])

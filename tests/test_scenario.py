@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from chainlock.errors import CapacityError
 from chainlock.nlocal import alpha_bruteforce, alpha_closed_form, bound_report, lhv_exhaustive_max
 from chainlock.qcore import ChainLayout
-from chainlock.scenario import build_bob_input_map, build_encoding, scenario_to_json_dict
+from chainlock.scenario import (_term_table, build_bob_input_map, build_encoding,
+                                scenario_to_json_dict)
 from chainlock.seesaw import seesaw_optimize
 from chainlock.soscert import tsirelson_ceiling
 
@@ -47,6 +48,7 @@ def test_cached_table_does_not_bypass_the_n_rule():
         assert build_encoding(valid).n == valid
         with pytest.raises(ValueError, match="n must be an integer"):
             build_encoding(invalid)
+    assert build_encoding(np.int64(3)) is build_encoding(3)
 
 
 def test_encoding_refuses_overflowing_row_indices():
@@ -170,7 +172,7 @@ def test_in_place_table_equals_bit_formula(n):
     # trailing-bits formula and stay read-only int64
     bits = (np.arange(1 << (n - 1), dtype=np.int64)[:, None]
             >> np.arange(n - 1, -1, -1, dtype=np.int64)) & 1
-    table = build_encoding.__wrapped__(n)  # a fresh table, not kept in the cache
+    table = _term_table.__wrapped__(n)  # a fresh table, not kept in the cache
     assert np.array_equal(table.signs, 1 - 2 * bits)
     assert np.array_equal(table.central, bits[:, 1:])
     for arr in (table.signs, table.central):
