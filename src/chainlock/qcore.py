@@ -1,7 +1,8 @@
 """Quantum numerics for the chain: states, observables, and two correlator evaluators.
 
-The dense evaluator applies every local operator to the full state vector,
-each as one BLAS matrix product on the state's (pre, dim, post) view.
+The dense evaluator applies local operators to the full state vector, each as
+one BLAS matrix product on the state's (pre, dim, post) view; a term's edge
+vector (Y^A (x) Y^C)|psi> is formed by column blocks that stay in cache.
 The contracted evaluator exploits that the state is a product of maximally
 entangled links: each link of local dimension d turns the expectation into a
 d x d matrix transfer, so a full (n+1)-party correlator costs a handful of
@@ -34,6 +35,7 @@ AUTO_DENSE_QUBIT_LIMIT = 12
 HERMITIAN_TOL = 1e-12
 DICHOTOMIC_TOL = 1e-10
 IMAG_TOL = 1e-10
+_EDGE_BLOCK_BYTES = 1 << 18  # per edge block buffer; two stay in cache
 
 
 def kron_all(*ops: np.ndarray) -> np.ndarray:
@@ -301,27 +303,21 @@ def correlator_dense(model: QuantumModel, x: int, bob_inputs, z: int) -> float:
     return _real_or_raise(np.vdot(amp, phi), "correlator")
 
 
-def term_vectors(model: QuantumModel, ya, yc):
-    """(B_i|psi>, (Y^A_i (x) Y^C_i)|psi>) for every term i, by statevector application.
-
-    B_i is the product of the central operators term i reads and Y^A_i, Y^C_i
-    are its signed edge sums, so J_i = <(Y^A_i (x) Y^C_i) psi | B_i psi>.
+def term_vectors(model: QuantumModel):
+    """B_i|psi> for every term i, B_i the central operators it reads, by statevector application.
 
     A depth-first walk over the term table, in its row order: level t holds
     B^t ... B^1|psi> for the current row's leading inputs, and each row
     recomputes only the levels after the first input that differs from the
     previous row.  Every vector is the float sequence of applying the term's
-    operators one by one to |psi>.
+    central operators one by one to |psi>.
 
-    The walk writes into buffers allocated once per call and holds at most four
-    state vectors besides the amplitudes: phi_t, a work buffer (Alice's partial
-    product, then the term's last central operators) and the kept levels, the
-    n-2 leading ones up to n = 5 and two above, where the rest of each term
-    folds through a second work buffer.  Level 1 lives in the work buffer as
-    well, except at n = 3 where the last operator reads it, so it is rebuilt
-    with level 2: two more applications per call for one vector less.  The
-    yielded pair are views of those buffers, valid until the next step; the
-    caller may overwrite them.
+    The walk holds at most three state vectors besides the amplitudes, in
+    buffers allocated once per call: a work buffer and the kept levels, the n-2
+    leading ones up to n = 5 and two above, where the rest of each term folds
+    through a second work buffer.  Level 1 lives in the work buffer too, except
+    at n = 3, so it is rebuilt with level 2.  The yielded vector is a view of
+    those buffers, valid until the next step; the caller may overwrite it.
     """
     n, lay = model.n, model.layout
     total = lay.total_qubits
@@ -330,26 +326,53 @@ def term_vectors(model: QuantumModel, ya, yc):
     work = [np.empty_like(amp) for _ in range(min(2, n - 1 - keep))]
     shared = keep > 1  # level 1 lives in the work buffer, except at n = 3
     levels = work[:shared] + [np.empty_like(amp) for _ in range(keep - shared)]
-    phi_t = np.empty_like(amp)
 
     def central(t, row, src, dst):
         return apply_to_slot(src, model.bobs[t][row[t]].matrix, *lay.bob_slot(t + 1), total,
                              out=dst)
 
     prev = [-1] * keep
-    for i, row in enumerate(build_encoding(n).central.tolist()):
+    for row in build_encoding(n).central.tolist():
         first = next((t for t in range(keep) if row[t] != prev[t]), keep)
         if first == 1 and shared:  # level 1 was overwritten
             first = 0
         for t in range(first, keep):
             central(t, row, levels[t - 1] if t else amp, levels[t])
         prev = row
-        apply_to_slot(amp, ya[i], *lay.alice_slot(), total, out=work[0])
-        apply_to_slot(work[0], yc[i], *lay.charlie_slot(), total, out=phi_t)
         phi_b = levels[-1] if keep else amp
         for t in range(keep, n - 1):
             phi_b = central(t, row, phi_b, work[(t - keep) % 2])
-        yield phi_b, phi_t
+        yield phi_b
+
+
+def edge_blocks(model: QuantumModel, ya, yc):
+    """(Y^A_i (x) Y^C_i)|psi> for every term i, as column blocks of the state's (d, rest) view.
+
+    Yields one iterator per term, of (cols, block) pairs: block is the vector's
+    [:, cols] part, Y^A_i times the state's columns (strided BLAS), then its rows
+    of d times Y^C_i^T.  A block is a power of two of columns, so every BLAS tile
+    is full and each entry has the bits of ``apply_to_slot`` on the whole vector.
+    The two block buffers, allocated once per call, take at most
+    ``_EDGE_BLOCK_BYTES`` and, from 64 columns on, a 16th of the state vector
+    each; ``block`` is valid until the next step.
+    """
+    d = model.layout.link_dim
+    view = model.state.amplitudes.reshape(d, -1)
+    rest = view.shape[1]
+    # columns; at least 64 (or the whole row), a margin over any BLAS tile width
+    budget = max(64, min(_EDGE_BLOCK_BYTES // (16 * d), rest // 16))
+    width = min(rest, 1 << (budget.bit_length() - 1))
+    part, block = np.empty((2, d, width), dtype=complex)
+
+    def blocks(y_a, y_c):
+        for start in range(0, rest, width):
+            cols = slice(start, start + width)
+            np.matmul(y_a, view[:, cols], out=part)
+            np.matmul(part.reshape(-1, d), y_c.T, out=block.reshape(-1, d))
+            yield cols, block
+
+    for y_a, y_c in zip(ya, yc):
+        yield blocks(y_a, y_c)
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +525,8 @@ def term_values(model: QuantumModel, evaluator: str = "auto") -> np.ndarray:
     """J_i = sum_{x,z} signs[i,x] signs[i,z] E(x, central inputs of i, z) for every term.
 
     Both evaluators read J_i as <Y^A_i (x) B_i (x) Y^C_i>: the dense one as the
-    inner product of the two ``term_vectors``, the contracted one by chain
-    contraction.
+    inner product of the ``edge_blocks`` vector, written whole into one buffer,
+    with the ``term_vectors`` vector; the contracted one by chain contraction.
     """
     ya, yc = edge_sums(model.n, model.alice, model.charlie)
     if _resolve_evaluator(model, evaluator) == "contracted":
@@ -512,7 +535,13 @@ def term_values(model: QuantumModel, evaluator: str = "auto") -> np.ndarray:
         values = term_expectations(ya, yc, bobs, build_encoding(model.n).central,
                                    model.layout.link_dim)
     else:
-        values = [np.vdot(phi_t, phi_b) for phi_b, phi_t in term_vectors(model, ya, yc)]
+        phi_t = np.empty_like(model.state.amplitudes)
+        rows = phi_t.reshape(model.layout.link_dim, -1)
+        values = []
+        for phi_b, blocks in zip(term_vectors(model), edge_blocks(model, ya, yc)):
+            for cols, block in blocks:
+                rows[:, cols] = block
+            values.append(np.vdot(phi_t, phi_b))
     return np.array([_real_or_raise(v, f"term {i + 1}") for i, v in enumerate(values)])
 
 

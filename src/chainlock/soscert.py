@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateCertificateError, integer_at_least, positive_finite
 from .qcore import (BellChainState, NetworkState, QuantumModel, anticommutator_report,
-                    beta_quantum, edge_sums, reduced_density, term_vectors)
+                    beta_quantum, edge_blocks, edge_sums, reduced_density, term_vectors)
 
 CERTIFICATE_TOL = 1e-7
 DEGENERATE_TOL = 1e-12
@@ -79,14 +79,22 @@ def omega_values(model: QuantumModel) -> tuple[list[float], list[float]]:
 
 def _residuals(model: QuantumModel, ya, yc, omega_a, omega_c) -> list[float]:
     out = []
-    for i, (phi_b, phi_t) in enumerate(term_vectors(model, ya, yc)):
+    for i, (phi_b, blocks) in enumerate(zip(term_vectors(model), edge_blocks(model, ya, yc))):
         omega = omega_a[i] * omega_c[i]
         if omega <= DEGENERATE_TOL:
             raise DegenerateCertificateError(
                 f"term {i + 1}: signed edge combination annihilates the state")
-        # phi_b - phi_t / omega, formed in the term's own phi_t buffer
-        np.divide(phi_t, omega, out=phi_t)
-        out.append(float(np.linalg.norm(np.subtract(phi_b, phi_t, out=phi_t))))
+        # phi_b - (Y^A_i (x) Y^C_i)|psi> / omega, formed block by block in phi_b.
+        # numpy divides a complex by a real as by (omega, 0) with Smith's method,
+        # which multiplies both parts by 1/omega: the real multiply below gives
+        # the same values (a zero may differ in sign), so the same norm.
+        scale = 1.0 / omega
+        rows = phi_b.reshape(model.layout.link_dim, -1)
+        for cols, block in blocks:
+            parts = block.view(np.float64)
+            np.multiply(parts, scale, out=parts)
+            np.subtract(rows[:, cols], block, out=rows[:, cols])
+        out.append(float(np.linalg.norm(phi_b)))
     return out
 
 

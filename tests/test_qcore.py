@@ -12,12 +12,12 @@ from chainlock.errors import (CapacityError, NumericalConsistencyError, ShapeErr
 from chainlock.qcore import (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, ChainLayout, NetworkState,
                              Observable, QuantumModel, anticommutator_report, apply_to_slot,
                              bell_chain_state, beta_quantum, correlator_contracted,
-                             correlator_dense, default_layout, dichotomic_projection, edge_sums,
-                             jordan_wigner_set, kron_all, make_model, model_from_json_dict,
-                             model_to_json_dict, random_dichotomic, reduced_density,
-                             signed_sums, term_values, term_vectors)
+                             correlator_dense, default_layout, dichotomic_projection,
+                             edge_blocks, edge_sums, jordan_wigner_set, kron_all, make_model,
+                             model_from_json_dict, model_to_json_dict, random_dichotomic,
+                             reduced_density, signed_sums, term_values, term_vectors)
 from chainlock.scenario import TermTable, build_encoding
-from chainlock.soscert import condition_residuals
+from chainlock.soscert import certify, condition_residuals, omega_values
 from reference_folds import (bob_slot, chain_value, close_one, dense_term_vectors, edge_slot,
                              einsum_pull, einsum_push, einsum_slot, pull_one, push_one)
 
@@ -360,9 +360,20 @@ def test_apply_to_slot_matches_einsum_reference(n, m):
     assert np.array_equal(amp, before)
 
 
+def edge_vectors(model, ya, yc):
+    """(Y^A_i (x) Y^C_i)|psi> for every term, its ``edge_blocks`` written into one vector."""
+    for blocks in edge_blocks(model, ya, yc):
+        phi_t = np.empty_like(model.state.amplitudes)
+        rows = phi_t.reshape(model.layout.link_dim, -1)
+        for cols, block in blocks:
+            rows[:, cols] = block
+        yield phi_t
+
+
 def assert_walk_equals_reference(model, ya, yc, central):
-    """Copies of the walk's pairs equal the from-scratch vectors bit for bit."""
-    got = [(phi_b.copy(), phi_t.copy()) for phi_b, phi_t in term_vectors(model, ya, yc)]
+    """Copies of the walk's vectors and the edge vectors equal the from-scratch ones bit for bit."""
+    got = [(phi_b.copy(), phi_t) for phi_b, phi_t
+           in zip(term_vectors(model), edge_vectors(model, ya, yc))]
     want = list(dense_term_vectors(model, ya, yc, central))
     assert len(got) == len(want) == len(central)
     for (gb, gt), (wb, wt) in zip(got, want):
@@ -403,12 +414,13 @@ def test_term_walk_in_any_row_order(monkeypatch, n):
     assert_walk_equals_reference(model, ya, yc, shuffled.central)
 
 
-@pytest.mark.parametrize("n,applied", [(2, 6), (3, 14), (4, 32), (5, 64), (6, 168)])
+@pytest.mark.parametrize("n,applied", [(2, 2), (3, 6), (4, 16), (5, 32), (6, 104)])
 def test_term_walk_shares_leading_levels(monkeypatch, n, applied):
-    # two edge operators per term; a kept central level is recomputed only when
-    # its input or an earlier one changes (up to n = 5 every level before the
-    # last, above it the two leading ones), level 1 also when level 2 is (from
-    # n = 4).  From scratch it is (n + 1) 2^(n-1).
+    # central operators only: the edge stage is ``edge_blocks``, no slot
+    # application.  A kept central level is recomputed only when its input or
+    # an earlier one changes (up to n = 5 every level before the last, above it
+    # the two leading ones), level 1 also when level 2 is (from n = 4).  From
+    # scratch it is (n - 1) 2^(n-1).
     calls = []
     monkeypatch.setattr(qcore, "apply_to_slot",
                         lambda *a, **k: calls.append(a) or apply_to_slot(*a, **k))
@@ -418,19 +430,56 @@ def test_term_walk_shares_leading_levels(monkeypatch, n, applied):
 
 @pytest.mark.parametrize("n,m", [(3, 2), (4, 2), (5, 2), (6, 1), (7, 1), (8, 1)])
 def test_dense_term_routes_hold_four_vectors(n, m):
-    # the walk holds at most 4 state vectors besides the amplitudes, which are
-    # built before tracing; the extra half vector covers the small arrays.
-    # Keeping every level alive would hold n.
+    # the walk holds at most 3 state vectors besides the amplitudes, which are
+    # built before tracing, and the residuals form the edge vector by blocks in
+    # B_i|psi>; dense term_values writes it whole, one vector more.  The extra
+    # half vector covers the block buffers and the small arrays.  Keeping every
+    # level alive would hold n.
     model = random_model_mats(n, m, np.random.default_rng(n))
     vector = model.state.amplitudes.nbytes
-    for route in (condition_residuals, lambda mo: term_values(mo, evaluator="dense")):
+    for route, bound in ((condition_residuals, 3.5),
+                         (lambda mo: term_values(mo, evaluator="dense"), 4.5)):
         tracemalloc.start()
         try:
             route(model)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 4.5 * vector
+        assert peak <= bound * vector
+
+
+def explicit_amplitudes(model, rng):
+    """The model's observables on a random state given by its amplitudes."""
+    size = 2 ** model.layout.total_qubits
+    psi = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return QuantumModel(state=NetworkState(psi / np.linalg.norm(psi), model.layout),
+                        alice=model.alice, bobs=model.bobs, charlie=model.charlie)
+
+
+@pytest.mark.parametrize("n,m,explicit", [(n, m, False) for m in (1, 2) for n in range(2, 8)
+                                          if 2 * n * m <= 16] + [(4, 1, True), (3, 2, True)])
+def test_edge_blocks_keep_the_dense_bits(monkeypatch, n, m, explicit):
+    # blocks of 64 columns, so every state past 6 qubits takes several; the
+    # routes equal the from-scratch vectors with np.divide, np.vdot and one norm
+    monkeypatch.setattr(qcore, "_EDGE_BLOCK_BYTES", 1024)
+    rng = np.random.default_rng(70 + 10 * n + m)
+    model = random_model_mats(n, m, rng)
+    if explicit:
+        model = explicit_amplitudes(model, rng)
+    ya, yc = edge_sums(n, model.alice, model.charlie)
+    rest = model.state.amplitudes.size // model.layout.link_dim
+    assert len(list(next(edge_blocks(model, ya, yc)))) == max(1, rest // 64)
+    omega_a, omega_c = omega_values(model)
+    want = list(dense_term_vectors(model, ya, yc, build_encoding(n).central))
+    js = np.array([np.vdot(wt, wb).real for wb, wt in want])
+    residuals = [float(np.linalg.norm(wb - np.divide(wt, a * c)))
+                 for (wb, wt), a, c in zip(want, omega_a, omega_c)]
+    assert term_values(model, evaluator="dense").tobytes() == js.tobytes()
+    assert condition_residuals(model) == residuals
+    report = certify(model)
+    assert report.residuals == tuple(residuals)
+    if explicit or 2 * n * m <= qcore.AUTO_DENSE_QUBIT_LIMIT:  # beta from the dense route
+        assert report.beta == float(np.sum(np.sqrt(np.abs(js))))
 
 
 def test_beta_invariant_under_local_unitary():

@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chainlock.constructions import optimal_model
 from chainlock.errors import DegenerateCertificateError
 from chainlock.qcore import (PAULI_I, PAULI_X, PAULI_Z, beta_quantum, jordan_wigner_set,
-                             kron_all, make_model, random_dichotomic)
+                             kron_all, make_model, random_dichotomic, term_values)
+from chainlock.scenario import build_encoding
 from chainlock.seesaw import random_model
-from chainlock.soscert import certify, omega_values, tsirelson_ceiling
+from chainlock.soscert import certify, condition_residuals, omega_values, tsirelson_ceiling
+from reference_folds import signed_sums
 
 
 def test_ceiling_values():
@@ -134,3 +138,22 @@ def test_omega_bounded_by_sqrt_n_for_anticommuting_edges():
     assert om_a == pytest.approx([2.0] * 8, abs=1e-9)
     rep = certify(model)
     assert rep.anticommutator_max < 1e-12
+
+
+@given(st.integers(min_value=2, max_value=4), st.integers(min_value=1, max_value=2),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_dense_residuals_match_closed_form(n, m, seed):
+    # on a Bell chain every edge marginal is I/d, so omega_i = sqrt(tr(Y_i^2)/d)
+    # and r_i^2 = 2 - 2 J_i / (omega^A_i omega^C_i), with J_i by chain contraction
+    model = random_model(n, seed, qubits_per_half=m)
+    d = model.layout.link_dim
+    signs = build_encoding(n).signs
+    omegas = [[math.sqrt(np.trace(y @ y).real / d)
+               for y in signed_sums(signs, [o.matrix for o in ops])]
+              for ops in (model.alice, model.charlie)]
+    assume(min(min(om) for om in omegas) > 1e-3)  # a vanishing omega has no residual
+    js = term_values(model, evaluator="contracted")
+    residuals = condition_residuals(model)
+    for r, j, a, c in zip(residuals, js, *omegas):
+        assert r * r == pytest.approx(2 - 2 * j / (a * c), abs=1e-9)
