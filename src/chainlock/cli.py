@@ -130,9 +130,8 @@ def _cmd_quantum(args) -> int:
     try:
         model = optimal_model(args.n, qubits_per_half=args.pairs_per_source)
     except ConstructionFailedError as err:
-        _, terms = beta_quantum(err.model)
         _emit({"n": args.n, "beta": err.beta, "expected": err.expected,
-               "residuals": err.residuals, "error": str(err), "terms": terms}, args.out)
+               "residuals": err.residuals, "error": str(err), "terms": err.terms}, args.out)
         return COMPUTE_ERROR
     beta, terms = beta_quantum(model)
     residuals = condition_residuals(model)

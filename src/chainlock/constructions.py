@@ -160,7 +160,7 @@ def optimal_model(n: int, qubits_per_half: int | None = None) -> QuantumModel:
             f"n=3: equal-term target J_i = 3 is unattainable; closest "
             f"product-Pauli model reaches beta = {beta:.9f} < {expected:.9f} "
             f"with terms {np.round(terms, 9).tolist()}",
-            model=model, residuals=residuals, beta=beta, expected=expected)
+            model=model, terms=terms, residuals=residuals, beta=beta, expected=expected)
     layout = default_layout(n, qubits_per_half)
     state = bell_chain_state(n, layout.qubits_per_half)
     edges = [o.matrix for o in jordan_wigner_set(n)]
@@ -173,15 +173,15 @@ def optimal_model(n: int, qubits_per_half: int | None = None) -> QuantumModel:
     bobs, overlaps = fit_bob_observables(state, edges)
     residuals = [float(r) for r in np.sqrt(np.maximum(0.0, 2.0 - 2.0 * overlaps))]
     model = make_model(n, edges, bobs, edges, qubits_per_half=layout.qubits_per_half)
-    beta, _ = beta_quantum(model)
+    beta, terms = beta_quantum(model)
     if max(residuals) >= SOLVE_RESIDUAL_TOL:
         raise ConstructionFailedError(
             f"n={n}: zero conditions are inconsistent; least-squares model "
             f"reaches beta = {beta:.9f} < {expected:.9f} with max residual "
             f"{max(residuals):.6f}",
-            model=model, residuals=residuals, beta=beta, expected=expected)
+            model=model, terms=terms, residuals=residuals, beta=beta, expected=expected)
     if abs(beta - expected) > 1e-6:
         raise ConstructionFailedError(
             f"n={n}: solved conditions but beta = {beta} misses {expected}",
-            model=model, residuals=residuals, beta=beta, expected=expected)
+            model=model, terms=terms, residuals=residuals, beta=beta, expected=expected)
     return model

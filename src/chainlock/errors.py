@@ -29,14 +29,15 @@ class NumericalConsistencyError(ChainlockError):
 class ConstructionFailedError(ChainlockError):
     """A construction was built and measured but does not attain the ceiling.
 
-    ``model`` is the measured ``QuantumModel``, ``residuals`` its per-term
-    zero-condition residuals, ``beta`` its value and ``expected`` the ceiling
-    it was built for.
+    ``model`` is the measured ``QuantumModel``, ``terms`` its values J_i,
+    ``residuals`` its per-term zero-condition residuals, ``beta`` its value
+    and ``expected`` the ceiling it was built for.
     """
 
-    def __init__(self, message, *, model, residuals, beta, expected):
+    def __init__(self, message, *, model, terms, residuals, beta, expected):
         super().__init__(message)
         self.model = model
+        self.terms = terms
         self.residuals = residuals
         self.beta = beta
         self.expected = expected

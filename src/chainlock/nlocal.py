@@ -9,7 +9,10 @@ Three independent routes to the same number:
     The search is batched: a run of strategy indices becomes one stack of
     tables, each checked like a ``Behavior``, and one product with the
     outcome-sign weights gives the correlators of the whole stack.  A single
-    strategy or behavior is the one-table case of the same code.
+    strategy or behavior is the one-table case of the same code.  The batches
+    form one job list, mapped serially or on a process pool; the betas are
+    reduced once, in index order, so the worker count decides only which
+    process computes a batch.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -237,20 +240,18 @@ def _strategy_from_index(n: int, idx: int) -> DeterministicStrategy:
     return DeterministicStrategy(alice=tuple(signs[:n]), charlie=tuple(signs[n:2 * n]), bobs=bobs)
 
 
-def _search_range(args: tuple[int, int, int]) -> tuple[float, int]:
-    """Best (beta, first index) over a contiguous range of strategy indices."""
-    n, start, stop = args
-    half = 2 ** (n - 1)
-    table_bytes = 8 * (2 * half * 2) * (n * half * n)
-    batch = max(1, _TABLE_STACK_BYTES // table_bytes)
-    best, best_idx = -1.0, -1
-    for lo in range(start, stop, batch):
-        idx = np.arange(lo, min(lo + batch, stop))
-        betas = _betas(n, _behavior_tables(n, _strategy_bits(n, idx)))
-        for i, beta in zip(idx.tolist(), betas.tolist()):
-            if beta > best + 1e-12:
-                best, best_idx = beta, i
-    return best, best_idx
+def _search_jobs(n: int) -> list[tuple[int, int, int]]:
+    """(n, lo, hi) per batch of strategy numbers, in index order; a batch's tables
+    fill ``_TABLE_STACK_BYTES``."""
+    half, total = 2 ** (n - 1), 2 ** (4 * n - 2)
+    batch = max(1, _TABLE_STACK_BYTES // (8 * (2 * half * 2) * (n * half * n)))
+    return [(n, lo, min(lo + batch, total)) for lo in range(0, total, batch)]
+
+
+def _job_betas(job: tuple[int, int, int]) -> np.ndarray:
+    """beta of every strategy number in lo..hi-1, from one stack of tables."""
+    n, lo, hi = job
+    return _betas(n, _behavior_tables(n, _strategy_bits(n, np.arange(lo, hi))))
 
 
 def lhv_exhaustive_max(n: int, threads: int = 1) -> BoundReport:
@@ -258,32 +259,28 @@ def lhv_exhaustive_max(n: int, threads: int = 1) -> BoundReport:
 
     The search space is 2^(2n) * 4^(n-1) strategies; supported for n in 2..4.
     ``threads`` must be an integer >= 1 (``ValueError`` otherwise), as on the
-    command line; the worker count is capped at the CPU count.  The result is independent
-    of it: chunks are reduced in order and ties keep the lexicographically
-    first witness.
+    command line; the worker count is capped at the CPU count.  The result is
+    independent of it by construction: the betas of one job list are reduced
+    once, in index order, so ties keep the lexicographically first witness.
     """
     threads = integer_at_least("threads", threads, 1)
     n = integer_at_least("n", n, 2)
     if n > EXHAUSTIVE_MAX_N:
         raise CapacityError(f"lhv_exhaustive_max supports n <= {EXHAUSTIVE_MAX_N}, got {n}")
-    total = 2 ** (2 * n + 2 * (n - 1))
+    jobs = _search_jobs(n)
     threads = min(threads, os.cpu_count() or 1)
-    chunk = -(-total // threads)
-    jobs = [(n, lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
     if threads == 1:
-        results = [_search_range(job) for job in jobs]
+        betas = np.concatenate(list(map(_job_betas, jobs)))
     else:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_search_range, jobs))
+            betas = np.concatenate(list(pool.map(_job_betas, jobs,
+                                                 chunksize=-(-len(jobs) // threads))))
     best, best_idx = -1.0, -1
-    for b, idx in results:  # in chunk order, so first maximizer wins ties
-        if b > best + 1e-12:
-            best, best_idx = b, idx
-    closed = alpha_closed_form(n)
-    if abs(best - closed) > 1e-9:
+    for i, beta in enumerate(betas.tolist()):
+        if beta > best + 1e-12:
+            best, best_idx = beta, i
+    report = bound_report(n)
+    if abs(best - report.alpha_closed) > 1e-9:
         raise AssertionError(
-            f"behavior-level maximum {best} disagrees with closed form {closed}")
-    brute, _ = alpha_bruteforce(n)
-    return BoundReport(n=n, alpha_closed=closed, alpha_bruteforce=brute,
-                       witness=_strategy_from_index(n, best_idx),
-                       match=closed == brute, lhv_max=round(best))
+            f"behavior-level maximum {best} disagrees with closed form {report.alpha_closed}")
+    return replace(report, witness=_strategy_from_index(n, best_idx), lhv_max=round(best))

@@ -55,9 +55,13 @@ class Observable:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ShapeError(f"observable must be square, got shape {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
+        if not np.isfinite(m).all():
+            raise ValueError("observable has non-finite entries")
+        if not np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL:
             raise ValueError("observable is not Hermitian")
-        if np.linalg.norm(m @ m - np.eye(m.shape[0]), 2) > DICHOTOMIC_TOL:
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge entry overflows the square
+            off = m @ m - np.eye(m.shape[0])
+        if not (np.isfinite(off).all() and np.linalg.norm(off, 2) <= DICHOTOMIC_TOL):
             raise ValueError("observable is not dichotomic (square != identity)")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -125,7 +129,7 @@ class NetworkState:
         amp = np.asarray(self.amplitudes, dtype=complex)
         if amp.shape != (2 ** self.layout.total_qubits,):
             raise ShapeError("state length does not match layout")
-        if abs(np.linalg.norm(amp) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(amp) - 1.0) <= 1e-12:  # nan fails too
             raise ValueError("state is not normalized")
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
@@ -424,11 +428,10 @@ def _fold(envs: np.ndarray, bobs, central, t: int, d: int, forward: bool) -> np.
     return out.reshape(out.shape[:-2] + (d, d))
 
 
-def push(lefts: np.ndarray, bobs, central, d: int, start: int = 0,
-         stop: int | None = None) -> np.ndarray:
-    """Left environments pushed forward through central parties start+1..stop (default n-1)."""
+def push(lefts: np.ndarray, bobs, central, d: int, start: int = 0) -> np.ndarray:
+    """Left environments pushed forward through central parties start+1..n-1."""
     lefts = np.asarray(lefts, dtype=complex)
-    for t in range(start, central.shape[1] if stop is None else stop):
+    for t in range(start, central.shape[1]):
         lefts = _fold(lefts, bobs, central, t, d, forward=True)
     return lefts
 
@@ -595,8 +598,7 @@ class CentralSweep:
         self.bobs, self.central, self.d = bobs, central, d
         self.n = central.shape[1] + 1
         self.left = np.asarray(lefts, dtype=complex)
-        self.right_ops = np.asarray(rights, dtype=complex)
-        self.right = pull(self.right_ops, bobs, central, d)
+        self.right = pull(rights, bobs, central, d)
 
     def readers(self, t: int, y: int) -> np.ndarray:
         """The terms whose central party t+1 reads input y."""
@@ -617,11 +619,11 @@ class CentralSweep:
         """The readers of slot (t, y) and their chain values with the operator now in it."""
         i = self.readers(t, y)
         lefts = push(self.left[..., i, :, :], self.bobs, self.central[i], self.d, start=t)
-        return i, close(lefts, self.right_ops[..., i, :, :], self.d, self.n)
+        return i, close(lefts, self.right[-1][..., i, :, :], self.d, self.n)
 
     def advance(self, t: int):
         """Push every left environment through its operator of central party t+1."""
-        self.left = push(self.left, self.bobs, self.central, self.d, start=t, stop=t + 1)
+        self.left = _fold(self.left, self.bobs, self.central, t, self.d, forward=True)
 
 
 def dichotomic_projection(hermitian: np.ndarray) -> np.ndarray:

@@ -258,6 +258,22 @@ def test_certify_malformed_model_exits_1(tmp_path, capsys, text):
     assert "error" in json.loads(lines[0])
 
 
+@pytest.mark.parametrize("entry, message", [(1e200, "not dichotomic"), (math.nan, "non-finite")])
+def test_certify_non_finite_model_exits_1(tmp_path, capsys, entry, message):
+    # the observable rule names the bad entry, not a later symptom such as a
+    # signed edge combination that annihilates the state
+    data = model_to_json_dict(optimal_model(2))
+    data["alice"][0][0][0] = [entry, 0.0]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "certify", "--model", str(path))
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert message in json.loads(lines[0])["error"]
+
+
 def test_sweep_csv_header_and_ratio(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--n-min", "2", "--n-max", "3")
     assert code == 0

@@ -58,8 +58,8 @@ def test_optimal_model_n3_reports_obstruction():
     assert err.expected == pytest.approx(tsirelson_ceiling(3))
     # closest product-Pauli model: every term exactly 2, beta = 4 sqrt(2)
     assert err.beta == pytest.approx(4 * SQ2, abs=1e-9)
-    _, terms = beta_quantum(err.model)
-    assert terms == pytest.approx([2.0] * 4, abs=1e-9)
+    assert err.terms == beta_quantum(err.model)[1]
+    assert err.terms == pytest.approx([2.0] * 4, abs=1e-9)
     # residual of the zero conditions is sqrt(2 - 4/3) per term
     assert list(err.residuals) == pytest.approx([math.sqrt(2 - 4 / 3)] * 4, abs=1e-6)
 
@@ -72,6 +72,7 @@ def test_optimal_model_solve_route_reports_obstruction(n, overlap):
     assert isinstance(err.model, QuantumModel)
     # least-squares overlap settles at 2/n, so beta = 2^(n-1) sqrt(2)
     assert err.beta == pytest.approx(2 ** (n - 1) * SQ2, abs=1e-6)
+    assert err.terms == beta_quantum(err.model)[1]
     expected_res = math.sqrt(2 - 2 * overlap)
     assert list(err.residuals) == pytest.approx([expected_res] * 2 ** (n - 1), abs=1e-6)
 

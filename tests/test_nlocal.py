@@ -12,7 +12,7 @@ from chainlock import nlocal
 from chainlock.errors import CapacityError, ShapeError
 from chainlock.nlocal import (BRUTEFORCE_MAX_N, Behavior, DeterministicStrategy,
                               _behavior_tables, _betas,
-                              _search_range, _strategy_bits, _strategy_from_index,
+                              _job_betas, _search_jobs, _strategy_bits, _strategy_from_index,
                               alpha_bruteforce, alpha_closed_form, assignment_scores, behavior_from_strategy,
                               beta_of_behavior, bound_report, lhv_exhaustive_max)
 from chainlock.scenario import build_encoding
@@ -280,19 +280,19 @@ def reference_betas_n3():
 
 
 @pytest.mark.parametrize("stack_bytes", [nlocal._TABLE_STACK_BYTES, 7 * 576 * 8])
-def test_search_range_split_matches_reference(monkeypatch, reference_betas_n3, stack_bytes):
+def test_search_jobs_match_reference(monkeypatch, reference_betas_n3, stack_bytes):
     # n=3 tables hold 576 entries; the second stack size makes batches of 7,
-    # so range ends fall inside batches either way
+    # so batch edges fall at 7k
     monkeypatch.setattr(nlocal, "_TABLE_STACK_BYTES", stack_bytes)
-    cuts = (0, 1, 5, 300, 511, 512, 1000, 1024)
-    best, best_idx = -1.0, -1
-    for lo, hi in zip(cuts, cuts[1:]):
-        part = reference_betas_n3[lo:hi]
-        b, i = _search_range((3, lo, hi))
-        assert (b, i) == (max(part), lo + part.index(max(part)))
-        if b > best + 1e-12:
-            best, best_idx = b, i
-    assert (best, best_idx) == _search_range((3, 0, 1024))
+    jobs = _search_jobs(3)
+    batch = min(stack_bytes // (576 * 8), 1024)
+    assert [lo for _, lo, _ in jobs] == list(range(0, 1024, batch))
+    assert np.concatenate([_job_betas(job) for job in jobs]).tolist() == reference_betas_n3
+    first = reference_betas_n3.index(max(reference_betas_n3))
+    for threads in (1, 2):
+        rep = lhv_exhaustive_max(3, threads=threads)
+        assert rep.lhv_max == 6
+        assert rep.witness == _strategy_from_index(3, first)
 
 
 def test_lhv_exhaustive_capacity():

@@ -1,5 +1,6 @@
 import copy
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,27 @@ def test_observable_validation():
         Observable(0.5 * PAULI_Z)  # eigenvalues not +-1
     with pytest.raises(ShapeError):
         Observable(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("entry, message", [
+    (1e200, "not dichotomic"), (np.nan, "non-finite"), (np.inf, "non-finite"),
+])
+def test_observable_refuses_non_finite(entry, message):
+    # 1e200 squares to inf, so the spectral norm of m @ m - I is nan, which
+    # no > comparison refuses; nan and inf entries must not reach numpy's SVD
+    matrix = np.array([[entry, 0], [0, 1]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            Observable(matrix)
+
+
+def test_network_state_refuses_nan_amplitude():
+    # abs(nan - 1) > 1e-12 is False: the test must be written so that nan fails
+    amp = bell_chain_state(2, 1).amplitudes.copy()
+    amp[0] = np.nan
+    with pytest.raises(ValueError, match="not normalized"):
+        NetworkState(amp, default_layout(2, 1))
 
 
 def test_layout_slots():

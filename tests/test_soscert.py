@@ -46,7 +46,7 @@ def test_omega_degenerate_direction():
     with pytest.warns(UserWarning):
         om_a, _ = omega_values(model)
     assert om_a == pytest.approx([2.0, 0.0], abs=1e-12)
-    with pytest.raises(DegenerateCertificateError):
+    with pytest.warns(UserWarning), pytest.raises(DegenerateCertificateError):
         certify(model)
 
 
