@@ -259,16 +259,16 @@ def lhv_exhaustive_max(n: int, threads: int = 1) -> BoundReport:
 
     The search space is 2^(2n) * 4^(n-1) strategies; supported for n in 2..4.
     ``threads`` must be an integer >= 1 (``ValueError`` otherwise), as on the
-    command line; the worker count is capped at the CPU count.  The result is
-    independent of it by construction: the betas of one job list are reduced
-    once, in index order, so ties keep the lexicographically first witness.
+    command line; the worker count is capped at the CPU count and the job
+    count.  The result is independent of it by construction: the betas of one
+    job list are reduced once, in index order, so ties keep the first witness.
     """
     threads = integer_at_least("threads", threads, 1)
     n = integer_at_least("n", n, 2)
     if n > EXHAUSTIVE_MAX_N:
         raise CapacityError(f"lhv_exhaustive_max supports n <= {EXHAUSTIVE_MAX_N}, got {n}")
     jobs = _search_jobs(n)
-    threads = min(threads, os.cpu_count() or 1)
+    threads = min(threads, os.cpu_count() or 1, len(jobs))
     if threads == 1:
         betas = np.concatenate(list(map(_job_betas, jobs)))
     else:

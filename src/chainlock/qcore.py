@@ -428,10 +428,10 @@ def _fold(envs: np.ndarray, bobs, central, t: int, d: int, forward: bool) -> np.
     return out.reshape(out.shape[:-2] + (d, d))
 
 
-def push(lefts: np.ndarray, bobs, central, d: int, start: int = 0) -> np.ndarray:
-    """Left environments pushed forward through central parties start+1..n-1."""
+def push(lefts: np.ndarray, bobs, central, d: int) -> np.ndarray:
+    """Left environments pushed forward through every central party."""
     lefts = np.asarray(lefts, dtype=complex)
-    for t in range(start, central.shape[1]):
+    for t in range(central.shape[1]):
         lefts = _fold(lefts, bobs, central, t, d, forward=True)
     return lefts
 
@@ -589,9 +589,10 @@ class CentralSweep:
     ``left[i]`` is lefts[i] pushed through the parties already passed.  The
     caller may change ``bobs[t][y]`` (in place) while the sweep is at party
     t+1 and calls ``advance(t)`` once it moves on; after the last party
-    ``left`` holds the full left environments.  Stacked models sweep
-    together: the term axis is -3 of every environment, with the model axes
-    before it.
+    ``left`` holds the full left environments.  ``refold`` closes a candidate
+    in slot (t, y) there: one fold through party t+1, then ``right[t + 1]``.
+    Stacked models sweep together: the term axis is -3 of every environment,
+    with the model axes before it.
     """
 
     def __init__(self, lefts, rights, bobs, central, d: int):
@@ -616,10 +617,10 @@ class CentralSweep:
         return _slot_gemm(left, self.right[t + 1][..., i, :, :], self.d, self.n)
 
     def refold(self, t: int, y: int) -> tuple[np.ndarray, np.ndarray]:
-        """The readers of slot (t, y) and their chain values with the operator now in it."""
+        """Readers of slot (t, y) and their chain values with its new operator, closed there."""
         i = self.readers(t, y)
-        lefts = push(self.left[..., i, :, :], self.bobs, self.central[i], self.d, start=t)
-        return i, close(lefts, self.right[-1][..., i, :, :], self.d, self.n)
+        lefts = _fold(self.left[..., i, :, :], self.bobs, self.central[i], t, self.d, forward=True)
+        return i, close(lefts, self.right[t + 1][..., i, :, :], self.d, self.n)
 
     def advance(self, t: int):
         """Push every left environment through its operator of central party t+1."""

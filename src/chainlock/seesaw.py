@@ -6,19 +6,21 @@ the observable by the dichotomic projection of that operator.  An update that
 would lower beta is discarded, which keeps every trace monotone.
 
 A sweep keeps the stacked chain environments of all terms instead of
-refolding them after each update (the left/right block caching of DMRG sweeps):
+refolding them after each update (the left/right block caching of DMRG
+sweeps), and closes each candidate at its slot against environments it holds:
 
 - central slots, left to right: the right environments are built once per
   sweep and the left environments advance past a party once its two slots
-  are done.  A candidate refolds only the terms that read the updated slot,
-  forward from their cached left environments; every other J_i is kept.
+  are done.  A candidate folds the terms that read its slot through that
+  party and closes them against their right environments; other J_i are kept.
 - Alice: the open-slot matrices are the full right environments, one stacked
-  pull; a candidate pushes its new Alice sums through every term at once.
-- Charlie: the open-slot matrices are the accepted full left environments; a
-  candidate's J_i are one stacked close against the new Charlie sums.
+  pull; a candidate closes its new Alice sums against them.
+- Charlie: likewise against the accepted Alice sums pushed through every
+  party, the sweep's one push.
 
-Each cached value is the float sequence of a fresh fold, so the trace equals
-that of refolding everything, bit for bit.
+Candidates closed at different slots can differ from a fresh evaluation in
+the last bits, so a sweep returns (beta, J) from one close of the full left
+environments it holds: the float sequence of ``_beta_of``, a fresh value.
 
 The restarts run in lockstep: every observable is a stack over the restarts
 of a batch, each restart keeps or discards each update on its own (``np.where``
@@ -38,7 +40,7 @@ import numpy as np
 from .errors import integer_at_least, positive_finite
 from .qcore import (CentralSweep, QuantumModel, close, default_layout, dichotomic_projection,
                     edge_sums, make_model, model_to_json_dict, pull, push, random_dichotomic,
-                    signed_sums, term_expectations)
+                    signed_sums)
 from .scenario import build_encoding
 
 WEIGHT_FLOOR = 1e-12
@@ -130,10 +132,15 @@ class Workspace:
         return self._map(lambda a: a[row].copy())
 
 
+def _closed(lefts: np.ndarray, rights: np.ndarray, d: int, n: int):
+    """(beta, J) of every start from full left environments and right edge operators."""
+    js = close(lefts, rights, d, n).real
+    return np.sum(np.sqrt(np.abs(js)), axis=-1), js
+
+
 def _beta_of(ws: Workspace, table):
     ya, yc = edge_sums(ws.n, ws.alice, ws.charlie)
-    js = term_expectations(ya, yc, ws.bobs, table.central, ws.d).real
-    return np.sum(np.sqrt(np.abs(js)), axis=-1), js
+    return _closed(push(ya, ws.bobs, table.central, ws.d), yc, ws.d, ws.n)
 
 
 def _weights(js: np.ndarray) -> np.ndarray:
@@ -158,9 +165,15 @@ def _sweep(ws: Workspace, table, beta: np.ndarray, js: np.ndarray,
     def chosen(ok: np.ndarray, new: np.ndarray, old: np.ndarray) -> np.ndarray:
         return np.where(ok.reshape((-1,) + (1,) * (new.ndim - 1)), new, old)
 
-    def edge_matrix(slots: np.ndarray, x: int) -> np.ndarray:
-        """sum_i c_i signs[i, x] G_i over every term, with edge slot x open."""
-        return ((_weights(js) * signs[:, x])[..., None, None] * slots).sum(axis=-3)
+    def edge_pass(edges: list, env: np.ndarray):
+        """Update each edge in turn; env holds every term's chain but the edge side, so
+        G_i = env[i]^T / d^n is its open-slot matrix and a candidate closes against env."""
+        slots = env.swapaxes(-1, -2) / d ** n
+        for x in range(n):
+            old = edges[x]
+            w = ((_weights(js) * signs[:, x])[..., None, None] * slots).sum(axis=-3)
+            new = edges[x] = dichotomic_projection(w)
+            edges[x] = chosen(keep(close(env, signed_sums(signs, edges), d, n).real), new, old)
 
     ya, yc = edge_sums(n, ws.alice, ws.charlie)  # fixed while the central slots move
     sweep = CentralSweep(ya, yc, ws.bobs, central, d)
@@ -174,28 +187,12 @@ def _sweep(ws: Workspace, table, beta: np.ndarray, js: np.ndarray,
             ws.bobs[t][yv] = chosen(keep(cand_js), new, old)
         sweep.advance(t)
     if not optimize_edges:
-        return beta, js
-    lefts = sweep.left  # full left environments of the accepted observables
-    # Alice's open-slot matrices are the full right environments, one stacked
-    # pull; a candidate pushes its new signed sums through every term.
-    slots = pull(yc, ws.bobs, central, d)[0].swapaxes(-1, -2) / d ** n
-    for x in range(n):
-        old = ws.alice[x]
-        new = ws.alice[x] = dichotomic_projection(edge_matrix(slots, x))
-        cand_lefts = push(signed_sums(signs, ws.alice), ws.bobs, central, d)
-        ok = keep(close(cand_lefts, yc, d, n).real)
-        lefts = chosen(ok, cand_lefts, lefts)
-        ws.alice[x] = chosen(ok, new, old)
-    # Charlie's open-slot matrices are those left environments (what
-    # edge_slot_matrix("charlie", ...) would refold); a candidate closes them
-    # against its new signed sums.
-    slots = lefts.swapaxes(-1, -2) / d ** n
-    for x in range(n):
-        old = ws.charlie[x]
-        new = ws.charlie[x] = dichotomic_projection(edge_matrix(slots, x))
-        ws.charlie[x] = chosen(keep(close(lefts, signed_sums(signs, ws.charlie), d, n).real),
-                               new, old)
-    return beta, js
+        return _closed(sweep.left, yc, d, n)
+    edge_pass(ws.alice, pull(yc, ws.bobs, central, d)[0])
+    # Charlie's environments: what edge_slot_matrix("charlie", ...) folds per term
+    lefts = push(signed_sums(signs, ws.alice), ws.bobs, central, d)
+    edge_pass(ws.charlie, lefts)
+    return _closed(lefts, signed_sums(signs, ws.charlie), d, n)
 
 
 def restart_bytes(n: int, d: int) -> int:

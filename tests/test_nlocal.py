@@ -224,6 +224,19 @@ def test_lhv_exhaustive_threads_agree():
     assert serial.witness == parallel.witness
 
 
+def test_lhv_exhaustive_one_job_starts_no_pool(monkeypatch):
+    # n = 2 is one job: the worker count is capped at the job count, so the
+    # search runs serially whatever ``threads`` asks for
+    serial = lhv_exhaustive_max(2, threads=1)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started for one job")
+
+    monkeypatch.setattr(nlocal, "ProcessPoolExecutor", no_pool)
+    assert len(_search_jobs(2)) == 1
+    assert lhv_exhaustive_max(2, threads=2) == serial
+
+
 @pytest.mark.parametrize("threads", [0, -5, 2.0, True])
 def test_lhv_exhaustive_rejects_bad_threads(threads):
     with pytest.raises(ValueError, match="threads"):

@@ -658,8 +658,10 @@ def test_cached_environments_equal_fresh_folds(n, m):
             bobs[t][y] = random_dichotomic(d * d, rng)
             refolded, values = sweep.refold(t, y)
             assert np.array_equal(refolded, readers)
-            for i, value in zip(refolded, values):
-                assert value == chain_value(ya[i], ops(table.central[i]), yc[i], d)
+            for i, value in zip(refolded, values):  # closed at the slot
+                row = ops(table.central[i])
+                assert value == close_one(push_one(ya[i], row[:t + 1], d),
+                                          pull_one(yc[i], row[t + 1:], d), d, n)
         sweep.advance(t)
     for i, row in enumerate(table.central):
         assert np.array_equal(sweep.left[i].T / d ** n,

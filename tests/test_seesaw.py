@@ -8,11 +8,12 @@ import pytest
 from chainlock.nlocal import alpha_closed_form
 from chainlock.qcore import Observable, beta_quantum, dichotomic_projection
 from chainlock.scenario import build_encoding
-from chainlock import seesaw
+from chainlock import qcore, seesaw
 from chainlock.seesaw import (SeesawConfig, SeesawReport, Workspace, _beta_of, _sweep, _weights,
                               ascend, random_model, seesaw_optimize)
 from chainlock.soscert import tsirelson_ceiling
-from reference_folds import bob_slot, chain_value, edge_slot, signed_sums
+from reference_folds import (bob_slot, chain_value, close_one, edge_slot, pull_one, push_one,
+                             signed_sums)
 
 
 def test_config_validation():
@@ -147,9 +148,10 @@ def test_report_json_shape():
 
 
 # Restart betas and trace lengths of short seeded runs, frozen from the
-# uncached sweep.  Any moved bit means the arithmetic order changed.
+# sweep that closes each candidate at its slot and ends each sweep on a fresh
+# evaluation.  Any moved bit means the arithmetic order changed.
 @pytest.mark.parametrize("n, m, seed, restarts, max_iterations, betas, length", [
-    (3, 1, 5, 2, 40, (5.384245129847385, 5.825789526734354), 70),
+    (3, 1, 5, 2, 40, (5.384245129847386, 5.825789526734354), 70),
     (4, 2, 3, 1, 500, (11.128774585060835,), 293),
 ])
 def test_seesaw_pinned_runs(n, m, seed, restarts, max_iterations, betas, length):
@@ -178,24 +180,32 @@ def test_seesaw_best_beta_is_contracted_beta(n, seed, restarts, max_iterations):
 
 
 def _uncached_sweep(ws, table, beta, js, optimize_edges):
-    """Reference sweep: every candidate refolds every term from scratch, one
-    term at a time with the per-term folds of ``reference_folds``."""
+    """Reference sweep from the per-term folds of ``reference_folds``, one term at a time.
+
+    A central candidate recomputes the J_i of the terms that read its slot at
+    the slot: the Alice sum pushed through the parties up to it, closed
+    against the Charlie sum pulled back through the parties after it.  An edge
+    candidate closes its new signed sums against the other side's sums folded
+    through every central operator.  The sweep returns a from-scratch
+    evaluation of every J_i.
+    """
     n, d = ws.n, ws.d
 
     def operators(row):
         return [ws.bobs[t][y] for t, y in enumerate(row)]
 
-    def beta_of():
+    def fresh():
         ya, yc = signed_sums(table.signs, ws.alice), signed_sums(table.signs, ws.charlie)
         cand = np.array([chain_value(a, operators(row), c, d).real
                          for a, c, row in zip(ya, yc, table.central)])
         return float(np.sum(np.sqrt(np.abs(cand)))), cand
 
-    def try_update(slots, k, w):
+    def try_update(slots, k, w, candidate_js):
         nonlocal beta, js
         old = slots[k]
         slots[k] = dichotomic_projection(w)
-        cand, cand_js = beta_of()
+        cand_js = candidate_js()
+        cand = float(np.sum(np.sqrt(np.abs(cand_js))))
         if cand < beta - 1e-12:
             slots[k] = old
         else:
@@ -206,19 +216,37 @@ def _uncached_sweep(ws, table, beta, js, optimize_edges):
         for yv in range(2):
             readers = np.flatnonzero(table.central[:, t] == yv)
             chains = [(ya[i], operators(table.central[i]), yc[i]) for i in readers]
-            try_update(ws.bobs[t], yv, bob_slot(chains, _weights(js)[readers], t, d, n))
+
+            def at_slot():
+                cand_js = js.copy()  # terms that do not read the slot keep their J_i
+                for i in readers:
+                    ops = operators(table.central[i])
+                    cand_js[i] = close_one(push_one(ya[i], ops[:t + 1], d),
+                                           pull_one(yc[i], ops[t + 1:], d), d, n).real
+                return cand_js
+
+            try_update(ws.bobs[t], yv, bob_slot(chains, _weights(js)[readers], t, d, n), at_slot)
     if optimize_edges:
         for side, edges, other in (("alice", ws.alice, ws.charlie),
                                    ("charlie", ws.charlie, ws.alice)):
             other_sums = signed_sums(table.signs, other)
+            fold = pull_one if side == "alice" else push_one
+            envs = [fold(other_sums[i], operators(row), d) for i, row in enumerate(table.central)]
+
+            def closed():
+                sums = signed_sums(table.signs, edges)
+                return np.array([(close_one(s, env, d, n) if side == "alice"
+                                  else close_one(env, s, d, n)).real
+                                 for s, env in zip(sums, envs)])
+
             for x in range(n):
                 c = _weights(js)
                 w = np.zeros((d, d), dtype=complex)
                 for i, row in enumerate(table.central):
                     w += (c[i] * table.signs[i][x]
                           * edge_slot(side, operators(row), other_sums[i], d, n))
-                try_update(edges, x, w)
-    return beta, js
+                try_update(edges, x, w, closed)
+    return fresh()
 
 
 def _lone_workspace(model):
@@ -253,6 +281,39 @@ def test_cached_sweep_equals_uncached_sweep(n, m, optimize_edges):
             for got, want in zip(_flat(*cached.matrices(k)),
                                  _flat(reference.alice, reference.bobs, reference.charlie)):
                 assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_sweep_pushes_once_and_refolds_one_party(n, monkeypatch):
+    # every candidate closes against environments the sweep already holds: a
+    # sweep with edges pushes once (Charlie's environments) and pulls once
+    # (Alice's), and a central candidate folds its readers through one party
+    calls = dict.fromkeys(("push", "pull", "_fold"), 0)
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    table = build_encoding(n)
+    ws = Workspace.of_models([random_model(n, seed=n)])
+    beta, js = _beta_of(ws, table)
+    count(seesaw, "push")
+    count(seesaw, "pull")
+    _sweep(ws, table, beta, js, True)
+    assert (calls["push"], calls["pull"]) == (1, 1)
+    count(qcore, "_fold")
+    sweep = qcore.CentralSweep(*qcore.edge_sums(n, ws.alice, ws.charlie), ws.bobs,
+                               table.central, ws.d)
+    for t in range(n - 1):
+        for y in range(2):
+            calls["_fold"] = 0
+            sweep.refold(t, y)
+            assert calls["_fold"] == 1
+        sweep.advance(t)
 
 
 @pytest.mark.parametrize("n, m", [(2, 1), (3, 1), (4, 1), (5, 1), (2, 2), (3, 2), (4, 2), (5, 2)])
