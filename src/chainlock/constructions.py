@@ -147,12 +147,13 @@ def optimal_model(n: int, qubits_per_half: int | None = None) -> QuantumModel:
     if n not in SUPPORTED_N:
         raise CapacityError(f"optimal_model supports n in {SUPPORTED_N}, got {n}")
     expected = tsirelson_ceiling(n)
+    layout = default_layout(n, qubits_per_half)
     if n == 2:
-        model = _explicit_n2(default_layout(n, qubits_per_half).qubits_per_half)
+        model = _explicit_n2(layout.qubits_per_half)
         beta, _ = beta_quantum(model)
         assert abs(beta - expected) < 1e-12
         return model
-    if n == 3 and (qubits_per_half or 1) == 1:
+    if n == 3 and layout.qubits_per_half == 1:
         model = _explicit_n3()
         beta, terms = beta_quantum(model)
         residuals = condition_residuals(model)
@@ -161,7 +162,6 @@ def optimal_model(n: int, qubits_per_half: int | None = None) -> QuantumModel:
             f"product-Pauli model reaches beta = {beta:.9f} < {expected:.9f} "
             f"with terms {np.round(terms, 9).tolist()}",
             model=model, terms=terms, residuals=residuals, beta=beta, expected=expected)
-    layout = default_layout(n, qubits_per_half)
     state = bell_chain_state(n, layout.qubits_per_half)
     edges = [o.matrix for o in jordan_wigner_set(n)]
     if edges[0].shape[0] > layout.link_dim:

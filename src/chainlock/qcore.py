@@ -584,13 +584,14 @@ def edge_sums(n: int, alice, charlie) -> tuple[np.ndarray, np.ndarray]:
 class CentralSweep:
     """Every term's environments through one left-to-right pass over the central slots.
 
-    ``right[k][i]`` is rights[i] pulled back through term i's operators after
-    party k, built once from ``bobs`` as they stand at construction;
+    ``right[t][i]``, what slot t closes against, is rights[i] pulled back
+    through term i's operators after party t+1: n-2 folds of ``bobs`` as they
+    stand at construction, each level released once ``advance`` passes it.
     ``left[i]`` is lefts[i] pushed through the parties already passed.  The
     caller may change ``bobs[t][y]`` (in place) while the sweep is at party
     t+1 and calls ``advance(t)`` once it moves on; after the last party
     ``left`` holds the full left environments.  ``refold`` closes a candidate
-    in slot (t, y) there: one fold through party t+1, then ``right[t + 1]``.
+    in slot (t, y) there: one fold through its operator, then ``right[t]``.
     Stacked models sweep together: the term axis is -3 of every environment,
     with the model axes before it.
     """
@@ -599,7 +600,7 @@ class CentralSweep:
         self.bobs, self.central, self.d = bobs, central, d
         self.n = central.shape[1] + 1
         self.left = np.asarray(lefts, dtype=complex)
-        self.right = pull(rights, bobs, central, d)
+        self.right = pull(rights, bobs[1:], central[:, 1:], d)
 
     def readers(self, t: int, y: int) -> np.ndarray:
         """The terms whose central party t+1 reads input y."""
@@ -614,17 +615,19 @@ class CentralSweep:
         """
         i = self.readers(t, y)
         left = np.asarray(weights)[..., i, None, None] * self.left[..., i, :, :]
-        return _slot_gemm(left, self.right[t + 1][..., i, :, :], self.d, self.n)
+        return _slot_gemm(left, self.right[t][..., i, :, :], self.d, self.n)
 
     def refold(self, t: int, y: int) -> tuple[np.ndarray, np.ndarray]:
         """Readers of slot (t, y) and their chain values with its new operator, closed there."""
         i = self.readers(t, y)
-        lefts = _fold(self.left[..., i, :, :], self.bobs, self.central[i], t, self.d, forward=True)
-        return i, close(lefts, self.right[t + 1][..., i, :, :], self.d, self.n)
+        lefts = _fold(self.left[..., i, :, :], [[self.bobs[t][y]]],
+                      np.zeros((i.size, 1), dtype=np.int64), 0, self.d, forward=True)
+        return i, close(lefts, self.right[t][..., i, :, :], self.d, self.n)
 
     def advance(self, t: int):
-        """Push every left environment through its operator of central party t+1."""
+        """Push every left environment through its operator of party t+1; drop ``right[t]``."""
         self.left = _fold(self.left, self.bobs, self.central, t, self.d, forward=True)
+        self.right[t] = None
 
 
 def dichotomic_projection(hermitian: np.ndarray) -> np.ndarray:

@@ -71,8 +71,6 @@ def build_bob_input_map(n: int) -> tuple[tuple[int, ...], ...]:
 
 def scenario_to_json_dict(n: int) -> dict:
     """JSON-ready description of the scenario (signs and bob inputs)."""
-    return {
-        "n": n,
-        "signs": build_encoding(n).signs.tolist(),
-        "bob_inputs": [list(r) for r in build_bob_input_map(n)],
-    }
+    table = build_encoding(n)  # a numpy n leaves as a plain int
+    return {"n": table.n, "signs": table.signs.tolist(),
+            "bob_inputs": [list(r) for r in build_bob_input_map(n)]}

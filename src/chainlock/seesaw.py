@@ -10,9 +10,9 @@ refolding them after each update (the left/right block caching of DMRG
 sweeps), and closes each candidate at its slot against environments it holds:
 
 - central slots, left to right: the right environments are built once per
-  sweep and the left environments advance past a party once its two slots
-  are done.  A candidate folds the terms that read its slot through that
-  party and closes them against their right environments; other J_i are kept.
+  sweep and dropped once their slot is passed; the left ones advance past a
+  party once its two slots are done.  A candidate folds the slot's readers
+  through its operator alone and closes them there; other J_i are kept.
 - Alice: the open-slot matrices are the full right environments, one stacked
   pull; a candidate closes its new Alice sums against them.
 - Charlie: likewise against the accepted Alice sums pushed through every
@@ -91,7 +91,7 @@ class SeesawReport:
 
 def random_model(n: int, seed: int, qubits_per_half: int | None = None) -> QuantumModel:
     """Bell-chain model with seeded random dichotomic observables."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(integer_at_least("seed", seed, 0))
     d = default_layout(n, qubits_per_half).link_dim
     alice = [random_dichotomic(d, rng) for _ in range(n)]
     charlie = [random_dichotomic(d, rng) for _ in range(n)]

@@ -92,6 +92,21 @@ def test_optimal_model_n3_two_pairs_still_obstructed():
         optimal_model(3, qubits_per_half=2)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("value", [0, 1.0, True, -1])
+def test_optimal_model_refuses_bad_qubits_per_half(n, value):
+    # the layout checks the value before any branch; n = 3 used to return the
+    # m = 1 product-Pauli failure for 0, 1.0 and True
+    with pytest.raises(ValueError, match="qubits_per_half"):
+        optimal_model(n, qubits_per_half=value)
+
+
+@pytest.mark.parametrize("value", [None, 1])
+def test_optimal_model_n3_one_pair_is_product_pauli(value):
+    with pytest.raises(ConstructionFailedError, match="closest product-Pauli"):
+        optimal_model(3, qubits_per_half=value)
+
+
 def _fit_residuals(overlaps):
     return np.sqrt(np.maximum(0.0, 2.0 - 2.0 * overlaps))
 

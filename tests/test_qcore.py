@@ -644,8 +644,9 @@ def test_cached_environments_equal_fresh_folds(n, m):
         return [bobs[t][y] for t, y in enumerate(row)]
 
     sweep = CentralSweep(ya, yc, bobs, table.central, d)
+    alice_envs = qcore.pull(yc, bobs, table.central, d)[0]  # what the seesaw's Alice pass reads
     for i, row in enumerate(table.central):
-        assert np.array_equal(sweep.right[0][i].T / d ** n,
+        assert np.array_equal(alice_envs[i].T / d ** n,
                               edge_slot("alice", ops(row), yc[i], d, n))
     for t in range(n - 1):
         for y in range(2):
@@ -666,6 +667,39 @@ def test_cached_environments_equal_fresh_folds(n, m):
     for i, row in enumerate(table.central):
         assert np.array_equal(sweep.left[i].T / d ** n,
                               edge_slot("charlie", ops(row), ya[i], d, n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_central_sweep_holds_what_its_slots_read(n, monkeypatch):
+    # the sweep pulls the n-2 right levels its slots close against, releases
+    # each once it is passed, and a refold transfers the slot's one operator
+    calls = dict.fromkeys(("_fold", "_transfer"), 0)
+
+    def count(name):
+        original = getattr(qcore, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(qcore, name, counted)
+
+    rng = np.random.default_rng(n)
+    model = random_model_mats(n, 1, rng)
+    table = build_encoding(n)
+    ya, yc = edge_sums(n, model.alice, model.charlie)
+    bobs = [[o.matrix for o in pair] for pair in model.bobs]
+    count("_fold")
+    count("_transfer")
+    sweep = qcore.CentralSweep(ya, yc, bobs, table.central, 2)
+    assert calls["_fold"] == n - 2 and len(sweep.right) == n - 1
+    for t in range(n - 1):
+        for y in range(2):
+            calls["_transfer"] = 0
+            sweep.refold(t, y)
+            assert calls["_transfer"] == 1
+        sweep.advance(t)
+        assert sweep.right[t] is None
+    assert sweep.right == [None] * (n - 1)
 
 
 @pytest.mark.parametrize("d", [2, 4, 8])

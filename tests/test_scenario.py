@@ -1,4 +1,5 @@
 import copy
+import json
 
 import numpy as np
 import pytest
@@ -145,6 +146,15 @@ def test_scenario_json_shape():
     assert d["n"] == 3
     assert d["signs"] == [[1, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1]]
     assert d["bob_inputs"] == [[1, 1], [1, 2], [2, 1], [2, 2]]
+
+
+def test_scenario_json_takes_numpy_integers():
+    # the raw n was echoed, so json.dumps refused a numpy integer
+    want = json.dumps(scenario_to_json_dict(3))
+    assert json.dumps(scenario_to_json_dict(np.int64(3))) == want
+    for n in (True, 3.0):
+        with pytest.raises(ValueError, match="n must be an integer >= 2"):
+            scenario_to_json_dict(n)
 
 
 @given(st.integers(min_value=2, max_value=10))

@@ -84,6 +84,13 @@ def test_random_model_deterministic():
             Observable(o.matrix)  # revalidates dichotomic + hermitian
 
 
+@pytest.mark.parametrize("seed", [True, 1.0, -1, "1"])
+def test_random_model_refuses_bad_seed(seed):
+    # True seeded 1, 1.0 and -1 were numpy errors that did not name the argument
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        random_model(2, seed)
+
+
 def test_random_model_is_suboptimal():
     beta, _ = beta_quantum(random_model(3, seed=7))
     assert beta < tsirelson_ceiling(3)
@@ -314,6 +321,24 @@ def test_sweep_pushes_once_and_refolds_one_party(n, monkeypatch):
             sweep.refold(t, y)
             assert calls["_fold"] == 1
         sweep.advance(t)
+
+
+@pytest.mark.parametrize("n, m, starts", [(8, 1, 8), (10, 1, 4), (12, 1, 3), (6, 2, 4)])
+def test_sweep_peak_within_restart_bytes(n, m, starts):
+    # restart_bytes sizes the seesaw's batches: a sweep with edges holds the
+    # central sweep's levels, released as it passes them, and then Alice's
+    # pull, never both (2.0x of the byte model when it held both)
+    import tracemalloc
+    table = build_encoding(n)
+    ws = Workspace.of_models([random_model(n, seed=s, qubits_per_half=m) for s in range(starts)])
+    beta, js = _beta_of(ws, table)
+    tracemalloc.start()
+    try:
+        _sweep(ws, table, beta, js, True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * starts * seesaw.restart_bytes(n, ws.d)
 
 
 @pytest.mark.parametrize("n, m", [(2, 1), (3, 1), (4, 1), (5, 1), (2, 2), (3, 2), (4, 2), (5, 2)])
