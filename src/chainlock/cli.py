@@ -130,17 +130,17 @@ def _cmd_quantum(args) -> int:
     try:
         model = optimal_model(args.n, qubits_per_half=args.pairs_per_source)
     except ConstructionFailedError as err:
-        _emit({"n": args.n, "beta": err.beta, "expected": err.expected,
-               "residuals": err.residuals, "error": str(err), "terms": err.terms}, args.out)
-        return COMPUTE_ERROR
-    beta, terms = beta_quantum(model)
-    residuals = condition_residuals(model)
-    payload = {"n": args.n, "beta": beta, "expected": tsirelson_ceiling(args.n),
-               "terms": terms, "residuals": residuals}
-    if args.dump_model:
+        model, code = err.model, COMPUTE_ERROR
+        payload = {"n": args.n, "beta": err.beta, "expected": err.expected,
+                   "residuals": err.residuals, "error": str(err), "terms": err.terms}
+    else:
+        beta, terms = beta_quantum(model)
+        code, payload = 0, {"n": args.n, "beta": beta, "expected": tsirelson_ceiling(args.n),
+                            "terms": terms, "residuals": condition_residuals(model)}
+    if args.dump_model:  # last, on either path
         payload["model"] = model_to_json_dict(model)
     _emit(payload, args.out)
-    return 0
+    return code
 
 
 def _cmd_seesaw(args) -> int:

@@ -8,9 +8,14 @@ fails whenever the edge sets are (even in expectation) anticommuting.  The
 builders therefore return the best product-form / least-squares solutions and
 raise ``ConstructionFailedError`` carrying the measured model, per-term values
 and residuals, instead of pretending the target was reached.
+
+The least-squares fit is the costly part, so ``optimal_model`` fits each
+anticommuting construction once per layout per process and keeps only its
+read-only matrices and overlaps; ``fit_bob_observables`` itself is uncached.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -136,13 +141,39 @@ def fit_bob_observables(state: BellChainState, edge_observables):
     return best_bobs, term_expectations(lefts, ys, best_bobs, table.central, d).real
 
 
+@functools.lru_cache(maxsize=None)
+def _fitted_construction(n: int, qubits_per_half: int):
+    """The padded Jordan-Wigner edges and the fit's (bobs, overlaps) on one layout.
+
+    Fitted once per (n, qubits_per_half) per process; every array is
+    read-only, held in tuples.  A refusal (CapacityError) propagates, so it
+    is never cached.
+    """
+    link_dim = 2 ** qubits_per_half
+    edges = [o.matrix for o in jordan_wigner_set(n)]
+    if edges[0].shape[0] > link_dim:
+        raise CapacityError(
+            f"{n} mutually anticommuting observables need dimension "
+            f"{edges[0].shape[0]}; layout provides {link_dim} per edge party")
+    pad = np.eye(link_dim // edges[0].shape[0])
+    edges = tuple(np.kron(e, pad) for e in edges)
+    bobs, overlaps = fit_bob_observables(bell_chain_state(n, qubits_per_half), edges)
+    bobs = tuple(tuple(pair) for pair in bobs)
+    for a in (*edges, *sum(bobs, ()), overlaps):
+        a.setflags(write=False)
+    return edges, bobs, overlaps
+
+
 def optimal_model(n: int, qubits_per_half: int | None = None) -> QuantumModel:
     """Model attaining the ceiling 2^(n-1) sqrt(n), where one exists.
 
     Succeeds for n=2, on any qubits_per_half.  For n in {3,4,5} the ceiling
     is strict: the builder assembles the best known construction, measures
     it, and raises ConstructionFailedError carrying the model and its
-    diagnostics.
+    diagnostics.  The least-squares construction is fitted once per layout
+    per process: later calls on an equal layout (``optimal_model(4)``,
+    ``optimal_model(4, 2)``) reuse its read-only matrices and overlaps, and
+    every call builds a fresh model, state and error from them.
     """
     if n not in SUPPORTED_N:
         raise CapacityError(f"optimal_model supports n in {SUPPORTED_N}, got {n}")
@@ -162,15 +193,7 @@ def optimal_model(n: int, qubits_per_half: int | None = None) -> QuantumModel:
             f"product-Pauli model reaches beta = {beta:.9f} < {expected:.9f} "
             f"with terms {np.round(terms, 9).tolist()}",
             model=model, terms=terms, residuals=residuals, beta=beta, expected=expected)
-    state = bell_chain_state(n, layout.qubits_per_half)
-    edges = [o.matrix for o in jordan_wigner_set(n)]
-    if edges[0].shape[0] > layout.link_dim:
-        raise CapacityError(
-            f"{n} mutually anticommuting observables need dimension "
-            f"{edges[0].shape[0]}; layout provides {layout.link_dim} per edge party")
-    pad = np.eye(layout.link_dim // edges[0].shape[0])
-    edges = [np.kron(e, pad) for e in edges]
-    bobs, overlaps = fit_bob_observables(state, edges)
+    edges, bobs, overlaps = _fitted_construction(n, layout.qubits_per_half)
     residuals = [float(r) for r in np.sqrt(np.maximum(0.0, 2.0 - 2.0 * overlaps))]
     model = make_model(n, edges, bobs, edges, qubits_per_half=layout.qubits_per_half)
     beta, terms = beta_quantum(model)

@@ -11,8 +11,9 @@ sweeps), and closes each candidate at its slot against environments it holds:
 
 - central slots, left to right: the right environments are built once per
   sweep and dropped once their slot is passed; the left ones advance past a
-  party once its two slots are done.  A candidate folds the slot's readers
-  through its operator alone and closes them there; other J_i are kept.
+  party once its two slots are done, and are dropped before the edge
+  passes.  A candidate folds the slot's readers through its operator alone
+  and closes them there; other J_i are kept.
 - Alice: the open-slot matrices are the full right environments, one stacked
   pull; a candidate closes its new Alice sums against them.
 - Charlie: likewise against the accepted Alice sums pushed through every
@@ -177,6 +178,7 @@ def _sweep(ws: Workspace, table, beta: np.ndarray, js: np.ndarray,
 
     ya, yc = edge_sums(n, ws.alice, ws.charlie)  # fixed while the central slots move
     sweep = CentralSweep(ya, yc, ws.bobs, central, d)
+    del ya  # the sweep's first left level, freed once it advances past party 1
     for t in range(n - 1):
         for yv in range(2):
             old = ws.bobs[t][yv]
@@ -188,6 +190,7 @@ def _sweep(ws: Workspace, table, beta: np.ndarray, js: np.ndarray,
         sweep.advance(t)
     if not optimize_edges:
         return _closed(sweep.left, yc, d, n)
+    del sweep  # no edge pass reads its full left level
     edge_pass(ws.alice, pull(yc, ws.bobs, central, d)[0])
     # Charlie's environments: what edge_slot_matrix("charlie", ...) folds per term
     lefts = push(signed_sums(signs, ws.alice), ws.bobs, central, d)
@@ -196,7 +199,15 @@ def _sweep(ws: Workspace, table, beta: np.ndarray, js: np.ndarray,
 
 
 def restart_bytes(n: int, d: int) -> int:
-    """One start's bytes in a stack: a sweep's n + 1 environment stacks and central operators."""
+    """One start's bytes in a stack: a sweep's n + 1 environment stacks and central operators.
+
+    A lower bound on a seesaw sweep, not its peak: one sweep with edges peaks
+    at 1.11-1.15 x starts x this under tracemalloc ((n, m, starts) = (8, 1, 8),
+    (10, 1, 4), (12, 1, 3), (6, 2, 4)).  The condition fitter's sweep peaks at
+    0.75-1.26 x; its whole fit, which also holds its drawn starts and each
+    start's copied-out operators, at up to 2.2 x where the central operators
+    dominate (n = 6, d = 8).
+    """
     return 16 * ((n + 1) * 2 ** (n - 1) * d ** 2 + 2 * (n - 1) * d ** 4)
 
 

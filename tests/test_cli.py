@@ -4,11 +4,12 @@ import tracemalloc
 
 import pytest
 
-from chainlock import cli
+from chainlock import cli, constructions
 from chainlock.cli import main
 from chainlock.scenario import scenario_to_json_dict
-from chainlock.qcore import model_to_json_dict
+from chainlock.qcore import beta_quantum, model_from_json_dict, model_to_json_dict
 from chainlock.constructions import optimal_model
+from chainlock.errors import ConstructionFailedError
 
 
 def run_cli(capsys, *argv):
@@ -150,6 +151,23 @@ def test_quantum_n3_reports_failure(capsys):
     assert "error" in data
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_quantum_dump_model_on_failure(capsys, n):
+    # a failed construction still dumps its model, last, as the success path does
+    code, out, _ = run_cli(capsys, "quantum", "--n", str(n), "--dump-model")
+    assert code == 1
+    data = json.loads(out)
+    assert list(data) == ["n", "beta", "expected", "residuals", "error", "terms", "model"]
+    with pytest.raises(ConstructionFailedError) as exc:
+        optimal_model(n)
+    assert data["model"] == cli._round12(model_to_json_dict(exc.value.model))
+    model = model_from_json_dict(data["model"])  # the dump loads back as a model
+    assert cli._round12(model_to_json_dict(model)) == data["model"]
+    beta, terms = beta_quantum(model)
+    assert beta == pytest.approx(data["beta"], abs=1e-9)
+    assert terms == pytest.approx(data["terms"], abs=1e-9)
+
+
 @pytest.mark.parametrize("n", ["6", "9"])
 def test_quantum_past_supported_n_is_usage_error(capsys, n):
     # SUPPORTED_N is checked before any computation, as bound checks its limit
@@ -181,6 +199,7 @@ def test_quantum_fit_builds_no_state_vector(capsys, monkeypatch, n):
         return build(state)
 
     monkeypatch.setattr(BellChainState, "amplitudes", property(spy))
+    constructions._fitted_construction.cache_clear()  # so the fit runs under the spy
     code, out, _ = run_cli(capsys, "quantum", "--n", n)
     assert code == 1
     assert "residuals" in json.loads(out)
@@ -442,13 +461,17 @@ def test_seesaw_unwritable_output_fails_before_optimizing(tmp_path, monkeypatch,
 
 def test_golden_cli_commands(capsys):
     # the benchmark's golden CLI output, byte for byte; {model} stands for the
-    # n = 2 optimal model stored beside the golden file
+    # n = 2 optimal model stored beside the golden file.  The set runs twice in
+    # one process, from a cold construction cache and then from a warm one.
     from pathlib import Path
     golden = Path(__file__).resolve().parents[1] / "bench" / "golden"
     commands = json.loads((golden / "cli.json").read_text(encoding="utf-8"))["commands"]
     model = str(golden / "model_n2.json")
     assert commands
-    for command in commands:
-        argv = [model if a == "{model}" else a for a in command["argv"]]
-        code, out, _ = run_cli(capsys, *argv)
-        assert (out, code) == (command["stdout"], command["exit"]), argv
+    constructions._fitted_construction.cache_clear()
+    for replay in range(2):
+        for command in commands:
+            argv = [model if a == "{model}" else a for a in command["argv"]]
+            code, out, _ = run_cli(capsys, *argv)
+            assert (out, code) == (command["stdout"], command["exit"]), (replay, argv)
+    assert constructions._fitted_construction.cache_info().currsize == 2  # (4, 2), (5, 2)

@@ -79,7 +79,8 @@ def test_optimal_model_solve_route_reports_obstruction(n, overlap):
 
 def test_optimal_model_n4_residuals_pinned():
     # frozen from the uncached fitter sweep; any moved bit means the
-    # arithmetic order of the fit changed
+    # arithmetic order of the fit changed (a cold cache, so the fit runs here)
+    constructions._fitted_construction.cache_clear()
     with pytest.raises(ConstructionFailedError) as exc:
         optimal_model(4)
     assert list(exc.value.residuals) == [
@@ -290,3 +291,94 @@ def test_fit_degenerate_edges_name_the_term():
     # Y_2 = Z - Z vanishes, so the second term has no normalisation
     with pytest.raises(DegenerateCertificateError, match="term 2"):
         fit_bob_observables(bell_chain_state(2), [PAULI_Z, PAULI_Z])
+
+
+def _failed_model(n, qubits_per_half=None):
+    with pytest.raises(ConstructionFailedError) as exc:
+        optimal_model(n, qubits_per_half)
+    return exc.value
+
+
+def _matrices(model):
+    return [o.matrix for o in (*model.alice, *sum(model.bobs, ()), *model.charlie)]
+
+
+def _counted_fits(monkeypatch):
+    calls = []
+    fit = constructions.fit_bob_observables
+
+    def spy(*args):
+        calls.append(args)
+        return fit(*args)
+
+    monkeypatch.setattr(constructions, "fit_bob_observables", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_optimal_model_fits_once_per_layout(n, monkeypatch):
+    # the second call reuses the fit: no second fit, the same bits, fresh objects
+    calls = _counted_fits(monkeypatch)
+    constructions._fitted_construction.cache_clear()
+    first, second = _failed_model(n), _failed_model(n)
+    assert len(calls) == 1
+    assert first is not second and first.model is not second.model
+    assert first.model.state is not second.model.state
+    assert "amplitudes" not in vars(second.model.state)
+    for a, b in zip((*first.model.alice, *sum(first.model.bobs, ())),
+                    (*second.model.alice, *sum(second.model.bobs, ()))):
+        assert a is not b
+    for a, b in zip(_matrices(first.model), _matrices(second.model)):
+        assert a.tobytes() == b.tobytes()
+    assert (first.beta, first.terms, first.residuals, str(first)) == (
+        second.beta, second.terms, second.residuals, str(second))
+    # the cached arrays are the uncached fit's own output, bit for bit
+    state, edges = calls[0]
+    bobs, overlaps = fit_bob_observables(state, edges)
+    cached_edges, cached_bobs, cached_overlaps = constructions._fitted_construction(n, 2)
+    assert overlaps.tobytes() == cached_overlaps.tobytes()
+    for a, b in zip(sum(bobs, []), sum(cached_bobs, ())):
+        assert a.tobytes() == b.tobytes()
+    for a, b in zip(edges, cached_edges):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_cached_construction_is_read_only():
+    edges, bobs, overlaps = constructions._fitted_construction(4, 2)
+    assert isinstance(edges, tuple) and isinstance(bobs, tuple)
+    assert all(isinstance(pair, tuple) for pair in bobs)
+    for a in (*edges, *sum(bobs, ()), overlaps):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 0
+    for a in _matrices(_failed_model(4).model):
+        assert not a.flags.writeable
+
+
+def test_equal_layouts_share_one_cache_entry(monkeypatch):
+    calls = _counted_fits(monkeypatch)
+    cache = constructions._fitted_construction
+    cache.cache_clear()
+    for n, m in [(4, None), (4, 2), (4, np.int64(2)), (np.int64(4), None)]:
+        _failed_model(n, m)
+    assert len(calls) == 1
+    info = cache.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 3)
+    _failed_model(3, 2)  # another layout is another fit
+    assert len(calls) == 2 and cache.cache_info().currsize == 2
+
+
+def test_capacity_refusal_is_never_cached(monkeypatch):
+    # too small a link for the anticommuting set, and the fit's byte check:
+    # each call is refused again, and nothing enters the cache
+    calls = _counted_fits(monkeypatch)
+    cache = constructions._fitted_construction
+    cache.cache_clear()
+    for _ in range(2):
+        with pytest.raises(CapacityError, match="layout provides 2"):
+            optimal_model(4, qubits_per_half=1)
+        with pytest.raises(CapacityError, match="limit is"):
+            optimal_model(3, qubits_per_half=6)
+    assert len(calls) == 2  # only the byte check reaches the fit
+    info = cache.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (0, 4, 0)

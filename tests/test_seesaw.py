@@ -327,7 +327,9 @@ def test_sweep_pushes_once_and_refolds_one_party(n, monkeypatch):
 def test_sweep_peak_within_restart_bytes(n, m, starts):
     # restart_bytes sizes the seesaw's batches: a sweep with edges holds the
     # central sweep's levels, released as it passes them, and then Alice's
-    # pull, never both (2.0x of the byte model when it held both)
+    # pull, never both (2.0x of the byte model when it held both); the central
+    # sweep and its first left level are dropped before the edge passes
+    # (1.19-1.32x while they were kept, 1.11-1.15x since)
     import tracemalloc
     table = build_encoding(n)
     ws = Workspace.of_models([random_model(n, seed=s, qubits_per_half=m) for s in range(starts)])
@@ -338,7 +340,7 @@ def test_sweep_peak_within_restart_bytes(n, m, starts):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * starts * seesaw.restart_bytes(n, ws.d)
+    assert peak <= 1.2 * starts * seesaw.restart_bytes(n, ws.d)
 
 
 @pytest.mark.parametrize("n, m", [(2, 1), (3, 1), (4, 1), (5, 1), (2, 2), (3, 2), (4, 2), (5, 2)])
