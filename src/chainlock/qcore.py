@@ -1,8 +1,10 @@
 """Quantum numerics for the chain: states, observables, and two correlator evaluators.
 
 The dense evaluator applies local operators to the full state vector, each as
-one BLAS matrix product on the state's (pre, dim, post) view; a term's edge
-vector (Y^A (x) Y^C)|psi> is formed by column blocks that stay in cache.
+one BLAS matrix product on the state's (pre, dim, post) view.  A term's
+vectors B_i|psi> and (Y^A (x) Y^C)|psi> are finished side by side in column
+blocks that stay in cache, where the dense routes reduce them, so neither is
+ever held whole.
 The contracted evaluator exploits that the state is a product of maximally
 entangled links: each link of local dimension d turns the expectation into a
 d x d matrix transfer, so a full (n+1)-party correlator costs a handful of
@@ -35,7 +37,7 @@ AUTO_DENSE_QUBIT_LIMIT = 12
 HERMITIAN_TOL = 1e-12
 DICHOTOMIC_TOL = 1e-10
 IMAG_TOL = 1e-10
-_EDGE_BLOCK_BYTES = 1 << 18  # per edge block buffer; two stay in cache
+_EDGE_BLOCK_BYTES = 1 << 18  # per block buffer of the dense routes; three stay in cache
 
 
 def kron_all(*ops: np.ndarray) -> np.ndarray:
@@ -307,76 +309,68 @@ def correlator_dense(model: QuantumModel, x: int, bob_inputs, z: int) -> float:
     return _real_or_raise(np.vdot(amp, phi), "correlator")
 
 
-def term_vectors(model: QuantumModel):
-    """B_i|psi> for every term i, B_i the central operators it reads, by statevector application.
+def term_blocks(model: QuantumModel, ya, yc):
+    """B_i|psi> and (Y^A_i (x) Y^C_i)|psi> for every term i, side by side in column blocks.
 
-    A depth-first walk over the term table, in its row order: level t holds
-    B^t ... B^1|psi> for the current row's leading inputs, and each row
-    recomputes only the levels after the first input that differs from the
-    previous row.  Every vector is the float sequence of applying the term's
-    central operators one by one to |psi>.
+    Yields one iterator per term, in the term table's row order, of (phi_b,
+    phi_e) pairs: the two vectors' [:, cols] parts in the state's (d, rest)
+    view, for consecutive blocks of columns that cover the view.
 
-    The walk holds at most three state vectors besides the amplitudes, in
-    buffers allocated once per call: a work buffer and the kept levels, the n-2
-    leading ones up to n = 5 and two above, where the rest of each term folds
-    through a second work buffer.  Level 1 lives in the work buffer too, except
-    at n = 3, so it is rebuilt with level 2.  The yielded vector is a view of
-    those buffers, valid until the next step; the caller may overwrite it.
+    Central parties 1..n-2 are applied to the whole vector, one level each, in
+    a depth-first walk over the term table: level t holds B^t ... B^1|psi> for
+    the current row's leading inputs, and each row recomputes the levels from
+    its first input that differs from the previous row's.  Level t lives in
+    buffer t mod 2, so the last two levels are held and a row whose first new
+    input comes before them starts again from |psi>.  The last central party
+    is applied per block, next to the edge block for the same columns: Y^A_i
+    times the state's columns (strided BLAS), then its rows times Y^C_i^T.
+
+    A block is a power of two of columns, at least 64 and at least d^3: it
+    holds whole fibres of the last central party (its 2m qubits and
+    Charlie's m), and every BLAS tile is full.  So each entry has the bits of
+    ``apply_to_slot`` applying the term's operators one by one to the whole
+    vector.  The walk holds at most two state vectors besides the amplitudes,
+    and three block buffers, each at most ``_EDGE_BLOCK_BYTES`` and a 16th of
+    the state vector unless the floor of columns is more; all are allocated
+    once per call.  The levels are separate arrays, so each can reuse a freed
+    hole in the heap; one array of two, past glibc's mmap threshold at 20
+    qubits, is mapped on top of the heap and raised the resident peak.  A
+    term's iterator must be used up before the next term is drawn; a pair is
+    valid until the next step, and the caller may overwrite it.
     """
     n, lay = model.n, model.layout
-    total = lay.total_qubits
+    total, d = lay.total_qubits, lay.link_dim
     amp = model.state.amplitudes
-    keep = n - 2 if n <= 5 else 2
-    work = [np.empty_like(amp) for _ in range(min(2, n - 1 - keep))]
-    shared = keep > 1  # level 1 lives in the work buffer, except at n = 3
-    levels = work[:shared] + [np.empty_like(amp) for _ in range(keep - shared)]
-
-    def central(t, row, src, dst):
-        return apply_to_slot(src, model.bobs[t][row[t]].matrix, *lay.bob_slot(t + 1), total,
-                             out=dst)
-
-    prev = [-1] * keep
-    for row in build_encoding(n).central.tolist():
-        first = next((t for t in range(keep) if row[t] != prev[t]), keep)
-        if first == 1 and shared:  # level 1 was overwritten
-            first = 0
-        for t in range(first, keep):
-            central(t, row, levels[t - 1] if t else amp, levels[t])
-        prev = row
-        phi_b = levels[-1] if keep else amp
-        for t in range(keep, n - 1):
-            phi_b = central(t, row, phi_b, work[(t - keep) % 2])
-        yield phi_b
-
-
-def edge_blocks(model: QuantumModel, ya, yc):
-    """(Y^A_i (x) Y^C_i)|psi> for every term i, as column blocks of the state's (d, rest) view.
-
-    Yields one iterator per term, of (cols, block) pairs: block is the vector's
-    [:, cols] part, Y^A_i times the state's columns (strided BLAS), then its rows
-    of d times Y^C_i^T.  A block is a power of two of columns, so every BLAS tile
-    is full and each entry has the bits of ``apply_to_slot`` on the whole vector.
-    The two block buffers, allocated once per call, take at most
-    ``_EDGE_BLOCK_BYTES`` and, from 64 columns on, a 16th of the state vector
-    each; ``block`` is valid until the next step.
-    """
-    d = model.layout.link_dim
-    view = model.state.amplitudes.reshape(d, -1)
+    view = amp.reshape(d, -1)
     rest = view.shape[1]
-    # columns; at least 64 (or the whole row), a margin over any BLAS tile width
-    budget = max(64, min(_EDGE_BLOCK_BYTES // (16 * d), rest // 16))
+    # columns; whole fibres of the last central party, a margin over any BLAS tile width
+    budget = max(64, d ** 3, min(_EDGE_BLOCK_BYTES // (16 * d), rest // 16))
     width = min(rest, 1 << (budget.bit_length() - 1))
-    part, block = np.empty((2, d, width), dtype=complex)
+    fibres = (d, width // d ** 3, d * d, d)  # a block as (Alice, fibre, last party, Charlie)
+    part, phi_b, phi_e = np.empty((3, d, width), dtype=complex)
+    whole = n - 2  # central parties applied to the whole vector
+    levels = [np.empty_like(amp) for _ in range(min(2, whole))]
 
-    def blocks(y_a, y_c):
+    def blocks(src, last, y_a, y_c):
+        src = src.reshape(d, rest)
         for start in range(0, rest, width):
             cols = slice(start, start + width)
+            np.matmul(last, src[:, cols].reshape(fibres), out=phi_b.reshape(fibres))
             np.matmul(y_a, view[:, cols], out=part)
-            np.matmul(part.reshape(-1, d), y_c.T, out=block.reshape(-1, d))
-            yield cols, block
+            np.matmul(part.reshape(-1, d), y_c.T, out=phi_e.reshape(-1, d))
+            yield phi_b, phi_e
 
-    for y_a, y_c in zip(ya, yc):
-        yield blocks(y_a, y_c)
+    prev = [-1] * whole
+    for row, y_a, y_c in zip(build_encoding(n).central.tolist(), ya, yc):
+        first = next((t for t in range(whole) if row[t] != prev[t]), whole)
+        if first < whole - 1:  # level first - 1 was overwritten
+            first = 0
+        for t in range(first, whole):
+            apply_to_slot(levels[(t - 1) % 2] if t else amp, model.bobs[t][row[t]].matrix,
+                          *lay.bob_slot(t + 1), total, out=levels[t % 2])
+        prev = row
+        yield blocks(levels[(whole - 1) % 2] if whole else amp,
+                     model.bobs[-1][row[-1]].matrix, y_a, y_c)
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +522,8 @@ def term_values(model: QuantumModel, evaluator: str = "auto") -> np.ndarray:
     """J_i = sum_{x,z} signs[i,x] signs[i,z] E(x, central inputs of i, z) for every term.
 
     Both evaluators read J_i as <Y^A_i (x) B_i (x) Y^C_i>: the dense one as the
-    inner product of the ``edge_blocks`` vector, written whole into one buffer,
-    with the ``term_vectors`` vector; the contracted one by chain contraction.
+    inner product of the edge vector with B_i|psi>, added up over the column
+    blocks of ``term_blocks``; the contracted one by chain contraction.
     """
     ya, yc = edge_sums(model.n, model.alice, model.charlie)
     if _resolve_evaluator(model, evaluator) == "contracted":
@@ -538,13 +532,8 @@ def term_values(model: QuantumModel, evaluator: str = "auto") -> np.ndarray:
         values = term_expectations(ya, yc, bobs, build_encoding(model.n).central,
                                    model.layout.link_dim)
     else:
-        phi_t = np.empty_like(model.state.amplitudes)
-        rows = phi_t.reshape(model.layout.link_dim, -1)
-        values = []
-        for phi_b, blocks in zip(term_vectors(model), edge_blocks(model, ya, yc)):
-            for cols, block in blocks:
-                rows[:, cols] = block
-            values.append(np.vdot(phi_t, phi_b))
+        values = [np.sum([np.vdot(phi_e, phi_b) for phi_b, phi_e in blocks])
+                  for blocks in term_blocks(model, ya, yc)]
     return np.array([_real_or_raise(v, f"term {i + 1}") for i, v in enumerate(values)])
 
 
@@ -651,11 +640,25 @@ def random_dichotomic(dim: int, rng: np.random.Generator) -> np.ndarray:
 # reduced states and serialization
 
 def reduced_density(state: NetworkState | BellChainState, start: int, count: int) -> np.ndarray:
-    """Reduced density matrix on the contiguous qubit block [start, start+count)."""
+    """Reduced density matrix on the contiguous qubit block [start, start+count).
+
+    Summed over chunks of the state's (pre, dim, post) view along its longer
+    outer axis, each of at most ``_EDGE_BLOCK_BYTES`` (or one slice of that
+    axis), so no conjugate copy of the whole state is made; a state that fits
+    in one chunk runs one ``einsum`` on the whole view.
+    """
     total = state.layout.total_qubits
     pre, dim, post = 2 ** start, 2 ** count, 2 ** (total - start - count)
     psi = state.amplitudes.reshape(pre, dim, post)
-    return np.einsum("paq,pbq->ab", psi, psi.conj())
+    axis = 0 if pre >= post else 2
+    rows = psi.swapaxes(0, axis)
+    step = max(1, len(rows) * _EDGE_BLOCK_BYTES // psi.nbytes)
+
+    def part(lo):
+        chunk = rows[lo:lo + step].swapaxes(0, axis)  # a (pre, dim, post) view again
+        return np.einsum("paq,pbq->ab", chunk, chunk.conj())
+
+    return functools.reduce(np.add, map(part, range(0, len(rows), step)))
 
 
 def _matrix_to_pairs(m: np.ndarray) -> list:

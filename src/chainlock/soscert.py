@@ -6,8 +6,11 @@ omega^C_i).  A model attains its own tau exactly when every residual
 
     r_i = || B_i |psi>  -  (Y^A_i (x) Y^C_i / omega_i) |psi> ||
 
-vanishes; ``certify`` measures the gap tau - beta and these residuals.  The
-dimension-independent ceiling sum_i sqrt(omega_i) <= 2^(n-1) sqrt(n) holds
+vanishes; ``certify`` measures the gap tau - beta and these residuals.  Both
+are dense: the omegas come from the edge parties' reduced states, and each
+residual adds up its squares over the column blocks of ``qcore.term_blocks``,
+so no state vector is formed besides the amplitudes and the walk's two levels.
+The dimension-independent ceiling sum_i sqrt(omega_i) <= 2^(n-1) sqrt(n) holds
 for every model because sum_i (omega^A_i)^2 = 2^(n-1) n identically.
 """
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from .errors import DegenerateCertificateError, integer_at_least, positive_finite
 from .qcore import (BellChainState, NetworkState, QuantumModel, anticommutator_report,
-                    beta_quantum, edge_blocks, edge_sums, reduced_density, term_vectors)
+                    beta_quantum, edge_sums, reduced_density, term_blocks)
 
 CERTIFICATE_TOL = 1e-7
 DEGENERATE_TOL = 1e-12
@@ -79,22 +82,24 @@ def omega_values(model: QuantumModel) -> tuple[list[float], list[float]]:
 
 def _residuals(model: QuantumModel, ya, yc, omega_a, omega_c) -> list[float]:
     out = []
-    for i, (phi_b, blocks) in enumerate(zip(term_vectors(model), edge_blocks(model, ya, yc))):
+    for i, blocks in enumerate(term_blocks(model, ya, yc)):
         omega = omega_a[i] * omega_c[i]
         if omega <= DEGENERATE_TOL:
             raise DegenerateCertificateError(
                 f"term {i + 1}: signed edge combination annihilates the state")
-        # phi_b - (Y^A_i (x) Y^C_i)|psi> / omega, formed block by block in phi_b.
+        # B_i|psi> - (Y^A_i (x) Y^C_i)|psi> / omega, one column block at a time.
         # numpy divides a complex by a real as by (omega, 0) with Smith's method,
         # which multiplies both parts by 1/omega: the real multiply below gives
-        # the same values (a zero may differ in sign), so the same norm.
+        # the same values (a zero may differ in sign), so the same norm.  Each
+        # block adds np.linalg.norm's sum of squares of its entries.
         scale = 1.0 / omega
-        rows = phi_b.reshape(model.layout.link_dim, -1)
-        for cols, block in blocks:
-            parts = block.view(np.float64)
+        squares = []
+        for phi_b, phi_e in blocks:
+            parts = phi_e.view(np.float64)
             np.multiply(parts, scale, out=parts)
-            np.subtract(rows[:, cols], block, out=rows[:, cols])
-        out.append(float(np.linalg.norm(phi_b)))
+            diff = np.subtract(phi_b, phi_e, out=phi_b).reshape(-1)
+            squares.append(diff.real.dot(diff.real) + diff.imag.dot(diff.imag))
+        out.append(math.sqrt(math.fsum(squares)))
     return out
 
 

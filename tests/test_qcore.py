@@ -14,9 +14,9 @@ from chainlock.qcore import (PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, ChainLayout, Ne
                              Observable, QuantumModel, anticommutator_report, apply_to_slot,
                              bell_chain_state, beta_quantum, correlator_contracted,
                              correlator_dense, default_layout, dichotomic_projection,
-                             edge_blocks, edge_sums, jordan_wigner_set, kron_all, make_model,
+                             edge_sums, jordan_wigner_set, kron_all, make_model,
                              model_from_json_dict, model_to_json_dict, random_dichotomic,
-                             reduced_density, signed_sums, term_values, term_vectors)
+                             reduced_density, signed_sums, term_blocks, term_values)
 from chainlock.scenario import TermTable, build_encoding
 from chainlock.soscert import certify, condition_residuals, omega_values
 from reference_folds import (bob_slot, chain_value, close_one, dense_term_vectors, edge_slot,
@@ -382,46 +382,44 @@ def test_apply_to_slot_matches_einsum_reference(n, m):
     assert np.array_equal(amp, before)
 
 
-def edge_vectors(model, ya, yc):
-    """(Y^A_i (x) Y^C_i)|psi> for every term, its ``edge_blocks`` written into one vector."""
-    for blocks in edge_blocks(model, ya, yc):
-        phi_t = np.empty_like(model.state.amplitudes)
-        rows = phi_t.reshape(model.layout.link_dim, -1)
-        for cols, block in blocks:
-            rows[:, cols] = block
-        yield phi_t
+def walk_vectors(model, ya, yc):
+    """Per term, B_i|psi> and the edge vector: copies of its ``term_blocks`` put side by side."""
+    for blocks in term_blocks(model, ya, yc):
+        pairs = [(phi_b.copy(), phi_e.copy()) for phi_b, phi_e in blocks]
+        yield tuple(np.concatenate(part, axis=1).reshape(-1) for part in zip(*pairs))
 
 
 def assert_walk_equals_reference(model, ya, yc, central):
-    """Copies of the walk's vectors and the edge vectors equal the from-scratch ones bit for bit."""
-    got = [(phi_b.copy(), phi_t) for phi_b, phi_t
-           in zip(term_vectors(model), edge_vectors(model, ya, yc))]
+    """Every block entry of the walk's two vectors equals the from-scratch ones bit for bit."""
+    got = list(walk_vectors(model, ya, yc))
     want = list(dense_term_vectors(model, ya, yc, central))
     assert len(got) == len(want) == len(central)
-    for (gb, gt), (wb, wt) in zip(got, want):
+    for (gb, ge), (wb, we) in zip(got, want):
         assert gb.tobytes() == wb.tobytes()
-        assert gt.tobytes() == wt.tobytes()
+        assert ge.tobytes() == we.tobytes()
 
 
 @pytest.mark.parametrize("n,m", [(n, m) for m in (1, 2) for n in range(2, 8)
                                  if 2 * n * m <= 16])
-def test_term_walk_equals_fresh_vectors(n, m):
-    # n <= 5 keeps every leading level, n = 6, 7 keep two and fold the rest
-    # through both work buffers (either one ends the term); level 1 is rebuilt
-    # in the work buffer from n = 4
+def test_term_walk_equals_fresh_vectors(monkeypatch, n, m):
+    # from n = 4 the whole levels alternate between two buffers, and from
+    # n = 5 a row whose first new input comes before the last two levels
+    # starts again from |psi>; at 1 KiB every state past 6 qubits (m = 1) or
+    # 8 (m = 2) takes several blocks
     model = random_model_mats(n, m, np.random.default_rng(40 + 10 * n + m))
     ya, yc = edge_sums(n, model.alice, model.charlie)
-    assert_walk_equals_reference(model, ya, yc, build_encoding(n).central)
+    for block_bytes in (qcore._EDGE_BLOCK_BYTES, 1024):
+        monkeypatch.setattr(qcore, "_EDGE_BLOCK_BYTES", block_bytes)
+        assert_walk_equals_reference(model, ya, yc, build_encoding(n).central)
 
 
-def test_term_walk_on_explicit_amplitudes():
+def test_term_walk_on_explicit_amplitudes(monkeypatch):
+    monkeypatch.setattr(qcore, "_EDGE_BLOCK_BYTES", 1024)
     rng = np.random.default_rng(8)
-    bell = random_model_mats(3, 1, rng)
-    psi = rng.normal(size=2 ** 6) + 1j * rng.normal(size=2 ** 6)
-    model = QuantumModel(state=NetworkState(psi / np.linalg.norm(psi), bell.layout),
-                         alice=bell.alice, bobs=bell.bobs, charlie=bell.charlie)
-    ya, yc = edge_sums(3, model.alice, model.charlie)
-    assert_walk_equals_reference(model, ya, yc, build_encoding(3).central)
+    for n, m in ((3, 1), (4, 1), (3, 2)):
+        model = explicit_amplitudes(random_model_mats(n, m, rng), rng)
+        ya, yc = edge_sums(n, model.alice, model.charlie)
+        assert_walk_equals_reference(model, ya, yc, build_encoding(n).central)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -436,38 +434,64 @@ def test_term_walk_in_any_row_order(monkeypatch, n):
     assert_walk_equals_reference(model, ya, yc, shuffled.central)
 
 
-@pytest.mark.parametrize("n,applied", [(2, 2), (3, 6), (4, 16), (5, 32), (6, 104)])
+@pytest.mark.parametrize("n,m", [(2, 3), (3, 3)])
+def test_blocks_hold_whole_fibres(monkeypatch, n, m):
+    # the last central party and Charlie hold the last 3m qubits, so a block
+    # holds at least d^3 columns: 512 at m = 3, where 1 KiB alone gives 64
+    monkeypatch.setattr(qcore, "_EDGE_BLOCK_BYTES", 1024)
+    model = random_model_mats(n, m, np.random.default_rng(60 + n))
+    ya, yc = edge_sums(n, model.alice, model.charlie)
+    rest = model.state.amplitudes.size // 8
+    widths = {phi_b.shape[1] for blocks in term_blocks(model, ya, yc) for phi_b, _ in blocks}
+    assert widths == {512} and rest // 512 == (1 if n == 2 else 64)
+    assert_walk_equals_reference(model, ya, yc, build_encoding(n).central)
+
+
+@pytest.mark.parametrize("n,applied", [(2, 2), (3, 6), (4, 14), (5, 32), (6, 72), (7, 160)])
 def test_term_walk_shares_leading_levels(monkeypatch, n, applied):
-    # central operators only: the edge stage is ``edge_blocks``, no slot
-    # application.  A kept central level is recomputed only when its input or
-    # an earlier one changes (up to n = 5 every level before the last, above it
-    # the two leading ones), level 1 also when level 2 is (from n = 4).  From
-    # scratch it is (n - 1) 2^(n-1).
+    # central operators only: the edge stage makes no slot application.  A
+    # whole level is recomputed only when its input or an earlier one changes,
+    # and from n = 5 all of them when a row's first new input comes before the
+    # last two levels, which alone are held.  The last central party is one
+    # application per term, made block by block.  From scratch it is
+    # (n - 1) 2^(n-1).
     calls = []
     monkeypatch.setattr(qcore, "apply_to_slot",
                         lambda *a, **k: calls.append(a) or apply_to_slot(*a, **k))
     term_values(random_model_mats(n, 1, np.random.default_rng(n)), evaluator="dense")
-    assert len(calls) == applied
+    assert all(count == 2 for _, _, _, count, _ in calls)  # each a whole central level
+    assert len(calls) + 2 ** (n - 1) == applied
+
+
+def traced_peak(route, *args) -> int:
+    tracemalloc.start()
+    try:
+        route(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("n,m", [(3, 2), (4, 2), (5, 2), (6, 1), (7, 1), (8, 1)])
-def test_dense_term_routes_hold_four_vectors(n, m):
-    # the walk holds at most 3 state vectors besides the amplitudes, which are
-    # built before tracing, and the residuals form the edge vector by blocks in
-    # B_i|psi>; dense term_values writes it whole, one vector more.  The extra
-    # half vector covers the block buffers and the small arrays.  Keeping every
-    # level alive would hold n.
+def test_dense_term_routes_hold_two_vectors(n, m):
+    # the walk holds min(2, n - 2) whole levels besides the amplitudes, which
+    # are built before tracing, and both routes reduce per column block, so
+    # they hold no other state vector.  The extra half vector covers the block
+    # buffers and the small arrays.  Keeping every level alive would hold n - 2,
+    # a whole B_i|psi> or edge vector one more.
     model = random_model_mats(n, m, np.random.default_rng(n))
     vector = model.state.amplitudes.nbytes
-    for route, bound in ((condition_residuals, 3.5),
-                         (lambda mo: term_values(mo, evaluator="dense"), 4.5)):
-        tracemalloc.start()
-        try:
-            route(model)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound * vector
+    bound = min(2, n - 2) + 0.5
+    assert traced_peak(condition_residuals, model) <= bound * vector
+    assert traced_peak(term_values, model, "dense") <= bound * vector
+
+
+def test_certify_holds_three_vectors():
+    # a fresh n = 5, m = 2 state: certify builds its 20-qubit amplitudes, the
+    # walk's two levels and the edge marginals' chunks, nothing else state-sized
+    model = random_model_mats(5, 2, np.random.default_rng(5))
+    assert "amplitudes" not in vars(model.state)
+    assert traced_peak(certify, model) <= 3.2 * 16 * 2 ** 20
 
 
 def explicit_amplitudes(model, rng):
@@ -481,8 +505,11 @@ def explicit_amplitudes(model, rng):
 @pytest.mark.parametrize("n,m,explicit", [(n, m, False) for m in (1, 2) for n in range(2, 8)
                                           if 2 * n * m <= 16] + [(4, 1, True), (3, 2, True)])
 def test_edge_blocks_keep_the_dense_bits(monkeypatch, n, m, explicit):
-    # blocks of 64 columns, so every state past 6 qubits takes several; the
-    # routes equal the from-scratch vectors with np.divide, np.vdot and one norm
+    # blocks of 64 columns, so every state past 6 qubits takes several.  J_i
+    # adds one np.vdot per block and r_i one np.linalg.norm sum of squares per
+    # block: within 1e-13 of the whole-vector values (J_i relative to the norm
+    # product that bounds it, r_i relative to itself), and the same bits when
+    # the state is one block
     monkeypatch.setattr(qcore, "_EDGE_BLOCK_BYTES", 1024)
     rng = np.random.default_rng(70 + 10 * n + m)
     model = random_model_mats(n, m, rng)
@@ -490,18 +517,44 @@ def test_edge_blocks_keep_the_dense_bits(monkeypatch, n, m, explicit):
         model = explicit_amplitudes(model, rng)
     ya, yc = edge_sums(n, model.alice, model.charlie)
     rest = model.state.amplitudes.size // model.layout.link_dim
-    assert len(list(next(edge_blocks(model, ya, yc)))) == max(1, rest // 64)
+    blocks = max(1, rest // 64)
+    assert len(list(next(term_blocks(model, ya, yc)))) == blocks
     omega_a, omega_c = omega_values(model)
     want = list(dense_term_vectors(model, ya, yc, build_encoding(n).central))
-    js = np.array([np.vdot(wt, wb).real for wb, wt in want])
-    residuals = [float(np.linalg.norm(wb - np.divide(wt, a * c)))
-                 for (wb, wt), a, c in zip(want, omega_a, omega_c)]
-    assert term_values(model, evaluator="dense").tobytes() == js.tobytes()
-    assert condition_residuals(model) == residuals
+    js = np.array([np.vdot(we, wb).real for wb, we in want])
+    scale = np.array([np.linalg.norm(we) * np.linalg.norm(wb) for wb, we in want])
+    residuals = np.array([float(np.linalg.norm(wb - np.divide(we, a * c)))
+                          for (wb, we), a, c in zip(want, omega_a, omega_c)])
+    got_js = term_values(model, evaluator="dense")
+    got_residuals = np.array(condition_residuals(model))
     report = certify(model)
-    assert report.residuals == tuple(residuals)
+    assert report.residuals == tuple(got_residuals)
+    if blocks == 1:
+        assert got_js.tobytes() == js.tobytes()
+        assert got_residuals.tobytes() == residuals.tobytes()
+    assert np.all(np.abs(got_js - js) <= 1e-13 * scale)
+    assert np.all(np.abs(got_residuals - residuals) <= 1e-13 * residuals)
     if explicit or 2 * n * m <= qcore.AUTO_DENSE_QUBIT_LIMIT:  # beta from the dense route
-        assert report.beta == float(np.sum(np.sqrt(np.abs(js))))
+        assert report.beta == float(np.sum(np.sqrt(np.abs(got_js))))
+
+
+@pytest.mark.parametrize("start,count", [(0, 2), (6, 4), (14, 2)])
+def test_reduced_density_by_chunks(monkeypatch, start, count):
+    # Alice's, a central party's and Charlie's slot of a 16-qubit state: one
+    # chunk runs the whole-view einsum (the same bits), 1 KiB chunks (or one
+    # slice of the outer axis) add up to it within rounding, and no conjugate
+    # of the whole state is made
+    lay = ChainLayout(n=4, qubits_per_half=2)
+    rng = np.random.default_rng(start)
+    psi = rng.normal(size=2 ** 16) + 1j * rng.normal(size=2 ** 16)
+    state = NetworkState(psi / np.linalg.norm(psi), lay)
+    view = state.amplitudes.reshape(2 ** start, 2 ** count, -1)
+    whole = np.einsum("paq,pbq->ab", view, view.conj())
+    monkeypatch.setattr(qcore, "_EDGE_BLOCK_BYTES", state.amplitudes.nbytes)
+    assert reduced_density(state, start, count).tobytes() == whole.tobytes()
+    monkeypatch.setattr(qcore, "_EDGE_BLOCK_BYTES", 1024)
+    assert np.max(np.abs(reduced_density(state, start, count) - whole)) < 1e-14
+    assert traced_peak(reduced_density, state, start, count) <= state.amplitudes.nbytes / 8
 
 
 def test_beta_invariant_under_local_unitary():
